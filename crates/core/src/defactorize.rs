@@ -8,6 +8,9 @@
 //! is used.
 
 use std::collections::HashMap;
+use std::num::NonZeroUsize;
+use std::ops::Range;
+use std::time::Instant;
 
 use wireframe_graph::slices::contains_sorted;
 use wireframe_graph::NodeId;
@@ -23,7 +26,7 @@ use crate::error::EngineError;
 /// against sorted contiguous arrays replaces a hash lookup per tuple with a
 /// binary search over cache-resident memory, and makes the enumeration order
 /// deterministic.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub(crate) struct JoinIndex {
     /// Distinct `(subject, object)` pairs, sorted — the scan path.
     pairs: Vec<(NodeId, NodeId)>,
@@ -52,13 +55,8 @@ fn group_sorted(pairs: &[(NodeId, NodeId)]) -> (Vec<NodeId>, Vec<u32>, Vec<NodeI
 }
 
 impl JoinIndex {
-    pub(crate) fn build(edges: &PatternEdges) -> Self {
-        JoinIndex::from_pairs(edges.iter().collect())
-    }
-
-    /// Builds the index directly from an edge list (used by the parallel
-    /// defactorizer for each worker's seed partition).
-    pub(crate) fn from_pairs(mut pairs: Vec<(NodeId, NodeId)>) -> Self {
+    fn build(edges: &PatternEdges) -> Self {
+        let mut pairs: Vec<(NodeId, NodeId)> = edges.iter().collect();
         pairs.sort_unstable();
         let (fwd_keys, fwd_offsets, fwd_values) = group_sorted(&pairs);
         let mut reversed: Vec<(NodeId, NodeId)> = pairs.iter().map(|&(s, o)| (o, s)).collect();
@@ -104,10 +102,13 @@ impl JoinIndex {
     fn contains(&self, s: NodeId, o: NodeId) -> bool {
         contains_sorted(self.objects_of(s), o)
     }
+}
 
-    fn iter(&self) -> impl Iterator<Item = (NodeId, NodeId)> + '_ {
-        self.pairs.iter().copied()
-    }
+/// One join index per pattern of `query`, snapshotted from `ag`.
+fn build_indexes(query: &ConjunctiveQuery, ag: &AnswerGraph) -> Vec<JoinIndex> {
+    (0..query.num_patterns())
+        .map(|q| JoinIndex::build(ag.pattern(q)))
+        .collect()
 }
 
 /// Statistics of the defactorization phase.
@@ -120,19 +121,34 @@ pub struct DefactorizationStats {
     /// Number of embedding tuples produced (before projection).
     pub embeddings: usize,
     /// CPU time summed across workers (index building + joining). Equals
-    /// the phase's wall-clock on the sequential path; exceeds it when the
-    /// parallel defactorizer ran workers concurrently.
+    /// the phase's wall-clock on the sequential path; exceeds it when
+    /// [`defactorize_parallel`] ran workers concurrently.
     pub cpu: std::time::Duration,
 }
 
 /// Chooses a join order for phase two: connected, smallest answer-edge set
 /// first (greedy on the exact statistics the answer graph provides).
-#[allow(clippy::needless_range_loop)] // `i` is the pattern id being chosen
 pub fn embedding_plan(query: &ConjunctiveQuery, ag: &AnswerGraph) -> Vec<usize> {
+    pinned_embedding_plan(query, ag, None)
+}
+
+/// [`embedding_plan`], optionally with pattern `first` pinned as the start
+/// (the seed pattern of a [`SeedEnumerator`], bound to one pair, so visiting
+/// it first bounds every intermediate).
+#[allow(clippy::needless_range_loop)] // `i` is the pattern id being chosen
+fn pinned_embedding_plan(
+    query: &ConjunctiveQuery,
+    ag: &AnswerGraph,
+    first: Option<usize>,
+) -> Vec<usize> {
     let n = query.num_patterns();
     let mut order = Vec::with_capacity(n);
     let mut used = vec![false; n];
-    for _ in 0..n {
+    if let Some(first) = first {
+        used[first] = true;
+        order.push(first);
+    }
+    while order.len() < n {
         let mut best: Option<usize> = None;
         for i in 0..n {
             if used[i] {
@@ -179,24 +195,133 @@ pub fn defactorize(
             "embedding plan does not cover every query edge".into(),
         ));
     }
-    let busy = std::time::Instant::now();
-    // Sorted join indexes, snapshotted once per pattern and probed per tuple.
-    let indexes: Vec<JoinIndex> = (0..query.num_patterns())
-        .map(|q| JoinIndex::build(ag.pattern(q)))
-        .collect();
-    let index_refs: Vec<&JoinIndex> = indexes.iter().collect();
-    let (set, mut stats) = defactorize_indexed(query, &index_refs, order)?;
+    let busy = Instant::now();
+    let indexes = build_indexes(query, ag);
+    let seeds = indexes[order[0]].pairs.len();
+    let (set, mut stats) = defactorize_indexed(query, &indexes, order, 0..seeds)?;
     stats.cpu = busy.elapsed();
     Ok((set, stats))
 }
 
-/// The join loop over prebuilt indexes. Exposed crate-internally so the
-/// parallel defactorizer can share the (identical) non-seed indexes across
-/// workers instead of rebuilding them per worker.
-pub(crate) fn defactorize_indexed(
+/// Below this many seed pairs per worker, [`defactorize_parallel`] stays
+/// sequential: thread startup would dominate.
+const MIN_SEEDS_PER_THREAD: usize = 64;
+
+/// The machine's available parallelism, capped at 8 (defactorization is
+/// memory-bound).
+pub fn auto_threads() -> usize {
+    std::thread::available_parallelism()
+        .map(NonZeroUsize::get)
+        .unwrap_or(1)
+        .min(8)
+}
+
+/// Generates the embeddings of `query` from `ag` on up to `threads` workers
+/// (`0` = [`auto_threads`]) in the [`embedding_plan`] order, returning the
+/// full (unprojected) embedding set and merged statistics.
+///
+/// Each worker joins one contiguous slice of the first pattern's sorted
+/// pairs against the shared join indexes. Every embedding uses exactly one
+/// seed pair, so the slices partition the answer, and their rows
+/// concatenate to exactly the sequential [`defactorize`] output.
+/// `peak_intermediate` is the maximum over the workers. Small inputs take
+/// the sequential path.
+pub fn defactorize_parallel(
     query: &ConjunctiveQuery,
-    indexes: &[&JoinIndex],
+    ag: &AnswerGraph,
+    threads: usize,
+) -> Result<(EmbeddingSet, DefactorizationStats), EngineError> {
+    let threads = if threads == 0 {
+        auto_threads()
+    } else {
+        threads
+    };
+    defactorize_split(query, ag, threads, MIN_SEEDS_PER_THREAD)
+}
+
+/// [`defactorize_parallel`] with an explicit per-worker seed threshold.
+fn defactorize_split(
+    query: &ConjunctiveQuery,
+    ag: &AnswerGraph,
+    threads: usize,
+    min_seeds_per_thread: usize,
+) -> Result<(EmbeddingSet, DefactorizationStats), EngineError> {
+    let order = embedding_plan(query, ag);
+    let seeds = ag.edge_count(order[0]);
+    if threads <= 1 || seeds < min_seeds_per_thread * 2 {
+        return defactorize(query, ag, &order);
+    }
+    let busy = Instant::now();
+    let indexes = build_indexes(query, ag);
+    let build = busy.elapsed();
+
+    let chunk = seeds.div_ceil(threads);
+    let (indexes, order_ref) = (&indexes, &order);
+    let parts: Vec<(EmbeddingSet, DefactorizationStats)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..seeds)
+            .step_by(chunk)
+            .map(|start| {
+                scope.spawn(move || {
+                    let busy = Instant::now();
+                    let range = start..(start + chunk).min(seeds);
+                    let (set, mut stats) = defactorize_indexed(query, indexes, order_ref, range)?;
+                    stats.cpu = busy.elapsed();
+                    Ok((set, stats))
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| {
+                h.join()
+                    .map_err(|_| EngineError::Internal("worker thread panicked".into()))?
+            })
+            .collect::<Result<_, EngineError>>()
+    })?;
+
+    // Busy time sums the index build and every worker, so it exceeds the
+    // wall-clock the caller measures once workers overlap.
+    let mut stats = DefactorizationStats {
+        join_order: order,
+        cpu: build,
+        ..DefactorizationStats::default()
+    };
+    let mut merged = EmbeddingSet::empty(query.variables().collect());
+    for (part, part_stats) in parts {
+        stats.peak_intermediate = stats.peak_intermediate.max(part_stats.peak_intermediate);
+        stats.embeddings += part_stats.embeddings;
+        stats.cpu += part_stats.cpu;
+        // Flat row-major concatenation: one memcpy per partition.
+        merged.append(&part);
+    }
+    Ok((merged, stats))
+}
+
+/// Phase two of a retained view: [`defactorize_parallel`] on `threads`
+/// workers, projected onto the SELECT list.
+pub(crate) fn defactorize_projected(
+    query: &ConjunctiveQuery,
+    ag: &AnswerGraph,
+    threads: usize,
+) -> Result<(EmbeddingSet, DefactorizationStats), EngineError> {
+    let (full, stats) = defactorize_parallel(query, ag, threads)?;
+    let embeddings = full.into_projected_set(query).ok_or_else(|| {
+        EngineError::Internal("projection referenced a variable missing from the result".into())
+    })?;
+    Ok((embeddings, stats))
+}
+
+/// The phase-two join loop — the only one in the crate. Joins the patterns'
+/// indexes in `order`, with the first step scanning only `seeds`, a range
+/// of the first pattern's sorted pairs: the full range for [`defactorize`],
+/// one contiguous slice per worker for [`defactorize_parallel`], one pair
+/// for [`SeedEnumerator::rows_through`]. Rows come out grouped by seed pair
+/// in pair order, so adjacent ranges concatenate to the rows of their union.
+fn defactorize_indexed(
+    query: &ConjunctiveQuery,
+    indexes: &[JoinIndex],
     order: &[usize],
+    seeds: Range<usize>,
 ) -> Result<(EmbeddingSet, DefactorizationStats), EngineError> {
     let mut stats = DefactorizationStats {
         join_order: order.to_vec(),
@@ -213,9 +338,15 @@ pub(crate) fn defactorize_indexed(
     let mut count = 1usize; // the empty tuple
     let mut data: Vec<NodeId> = Vec::new();
 
-    for &q in order {
+    for (step, &q) in order.iter().enumerate() {
         let pattern = query.patterns()[q];
-        let edges = indexes[q];
+        let edges = &indexes[q];
+        // Scans of unbound patterns; the first step scans only the seeds.
+        let scan = if step == 0 {
+            &edges.pairs[seeds.clone()]
+        } else {
+            &edges.pairs[..]
+        };
         let s_col = pattern
             .subject
             .as_var()
@@ -246,7 +377,7 @@ pub(crate) fn defactorize_indexed(
                     next_arity = arity + 1;
                     for i in 0..count {
                         let t = &data[i * arity..(i + 1) * arity];
-                        for (s, o) in edges.iter() {
+                        for &(s, o) in scan {
                             if s == o {
                                 next.extend_from_slice(t);
                                 next.push(s);
@@ -331,7 +462,7 @@ pub(crate) fn defactorize_indexed(
                             arity + usize::from(s_new.is_some()) + usize::from(o_new.is_some());
                         for i in 0..count {
                             let t = &data[i * arity..(i + 1) * arity];
-                            for (s, o) in edges.iter() {
+                            for &(s, o) in scan {
                                 if !admits(pattern.subject, s) || !admits(pattern.object, o) {
                                     continue;
                                 }
@@ -400,64 +531,31 @@ pub(crate) fn defactorize_indexed(
 /// re-defactorizing everything, the maintainer seeds the join with the
 /// single new pair and extends outward.
 ///
-/// Built once per maintenance pass (the per-pattern indexes are shared
-/// across all seed edges of the pass), then probed once per inserted edge.
+/// Built once per maintenance pass (the per-pattern indexes and the join
+/// order of each seed pattern are shared across all seed edges of the
+/// pass), then probed once per inserted edge.
 #[derive(Debug)]
 pub(crate) struct SeedEnumerator {
     indexes: Vec<JoinIndex>,
+    /// `orders[q]`: the [`embedding_plan`] order with pattern `q` pinned first.
+    orders: Vec<Vec<usize>>,
 }
 
 impl SeedEnumerator {
     /// Snapshots the current answer graph into join indexes.
     pub(crate) fn new(query: &ConjunctiveQuery, ag: &AnswerGraph) -> Self {
         SeedEnumerator {
-            indexes: (0..query.num_patterns())
-                .map(|q| JoinIndex::build(ag.pattern(q)))
+            indexes: build_indexes(query, ag),
+            orders: (0..query.num_patterns())
+                .map(|q| pinned_embedding_plan(query, ag, Some(q)))
                 .collect(),
         }
-    }
-
-    /// A connected join order that starts at `seed`, then greedily extends
-    /// to the smallest connected answer-edge set — the seed pattern is
-    /// pinned to one pair, so visiting it first bounds every intermediate.
-    fn seed_order(&self, query: &ConjunctiveQuery, seed: usize) -> Vec<usize> {
-        let n = query.num_patterns();
-        let mut order = Vec::with_capacity(n);
-        let mut used = vec![false; n];
-        order.push(seed);
-        used[seed] = true;
-        while order.len() < n {
-            let mut best: Option<usize> = None;
-            for (i, pattern) in query.patterns().iter().enumerate() {
-                if used[i] {
-                    continue;
-                }
-                let connected = pattern.variables().any(|v| {
-                    order
-                        .iter()
-                        .any(|&j: &usize| query.patterns()[j].mentions(v))
-                });
-                if !connected {
-                    continue;
-                }
-                let better = match best {
-                    None => true,
-                    Some(b) => self.indexes[i].pairs.len() < self.indexes[b].pairs.len(),
-                };
-                if better {
-                    best = Some(i);
-                }
-            }
-            let pick = best.unwrap_or_else(|| (0..n).find(|&i| !used[i]).expect("pattern left"));
-            used[pick] = true;
-            order.push(pick);
-        }
-        order
     }
 
     /// All embeddings whose binding of pattern `seed` is exactly the answer
     /// edge `(s, o)`. The schema is every query variable in index order
     /// (same as [`defactorize`]); project before comparing to an answer.
+    /// An edge absent from the answer graph has no embeddings.
     pub(crate) fn rows_through(
         &self,
         query: &ConjunctiveQuery,
@@ -465,21 +563,13 @@ impl SeedEnumerator {
         s: NodeId,
         o: NodeId,
     ) -> Result<EmbeddingSet, EngineError> {
-        let pinned = JoinIndex::from_pairs(vec![(s, o)]);
-        let mut refs: Vec<&JoinIndex> = self.indexes.iter().collect();
-        refs[seed] = &pinned;
-        let order = self.seed_order(query, seed);
-        defactorize_indexed(query, &refs, &order).map(|(set, _)| set)
+        let pairs = &self.indexes[seed].pairs;
+        let range = match pairs.binary_search(&(s, o)) {
+            Ok(i) => i..i + 1,
+            Err(i) => i..i,
+        };
+        defactorize_indexed(query, &self.indexes, &self.orders[seed], range).map(|(set, _)| set)
     }
-}
-
-/// Convenience: counts embeddings without keeping the materialized set.
-pub fn count_embeddings(
-    query: &ConjunctiveQuery,
-    ag: &AnswerGraph,
-    order: &[usize],
-) -> Result<usize, EngineError> {
-    defactorize(query, ag, order).map(|(set, _)| set.len())
 }
 
 fn bind(tuple: &[NodeId], col: usize, term: Term) -> NodeId {
@@ -599,15 +689,6 @@ mod tests {
     }
 
     #[test]
-    fn count_matches_materialization() {
-        let g = figure1_graph();
-        let q = chain_query(&g);
-        let (ag, _) = generate(&g, &q, &[0, 1, 2], &EvalOptions::default()).unwrap();
-        let order = embedding_plan(&q, &ag);
-        assert_eq!(count_embeddings(&q, &ag, &order).unwrap(), 12);
-    }
-
-    #[test]
     fn fully_ground_query_returns_the_empty_tuple() {
         // A query with no variables has a zero-arity answer schema; its
         // answer is one empty tuple when the pattern holds, zero otherwise.
@@ -678,5 +759,100 @@ mod tests {
         let order = embedding_plan(&q, &ag);
         let (emb, _) = defactorize(&q, &ag, &order).unwrap();
         assert_eq!(emb.len(), 1, "only node 1 loops and has a B edge");
+    }
+
+    /// A graph producing `fan`² chain embeddings through one hub. Every
+    /// pattern has `fan` answer edges, so the threaded path has `fan` seed
+    /// pairs to split.
+    fn fanout_graph(fan: usize) -> Graph {
+        let mut b = GraphBuilder::new();
+        for i in 0..fan {
+            b.add(&format!("a{i}"), "A", &format!("x{i}"));
+            b.add(&format!("x{i}"), "B", "hub");
+            b.add("hub", "C", &format!("c{i}"));
+        }
+        b.build()
+    }
+
+    fn fanout_ag(fan: usize) -> (ConjunctiveQuery, AnswerGraph) {
+        let g = fanout_graph(fan);
+        let q = chain_query(&g);
+        let (ag, _) = generate(&g, &q, &[0, 1, 2], &EvalOptions::default()).unwrap();
+        (q, ag)
+    }
+
+    #[test]
+    fn threaded_rows_equal_the_sequential_rows() {
+        let (q, ag) = fanout_ag(200);
+        let (sequential, seq_stats) = defactorize(&q, &ag, &embedding_plan(&q, &ag)).unwrap();
+        let (threaded, par_stats) = defactorize_split(&q, &ag, 4, 1).unwrap();
+        assert_eq!(threaded.len(), 200 * 200);
+        assert_eq!(threaded.flat_data(), sequential.flat_data());
+        assert_eq!(par_stats.embeddings, seq_stats.embeddings);
+        assert!(
+            par_stats.peak_intermediate <= seq_stats.peak_intermediate,
+            "each worker holds a fraction of the intermediates"
+        );
+        // Busy time is recorded on both paths: the sequential run's equals
+        // its wall-clock, the threaded run's sums over the 4 workers.
+        assert!(seq_stats.cpu > std::time::Duration::ZERO);
+        assert!(par_stats.cpu > std::time::Duration::ZERO);
+    }
+
+    #[test]
+    fn small_inputs_take_the_sequential_path() {
+        let (q, ag) = fanout_ag(3);
+        let (out, _) = defactorize_parallel(&q, &ag, 0).unwrap();
+        assert_eq!(out.len(), 9);
+    }
+
+    #[test]
+    fn one_thread_is_sequential() {
+        let (q, ag) = fanout_ag(50);
+        let (out, _) = defactorize_split(&q, &ag, 1, 1).unwrap();
+        assert_eq!(out.len(), 2500);
+    }
+
+    #[test]
+    fn auto_threads_is_bounded() {
+        assert!((1..=8).contains(&auto_threads()));
+    }
+
+    #[test]
+    fn empty_answer_graph_threaded() {
+        let g = fanout_graph(4);
+        let q = chain_query(&g);
+        let ag = AnswerGraph::new(&q);
+        let (out, _) = defactorize_split(&q, &ag, 4, 1).unwrap();
+        assert!(out.is_empty());
+    }
+
+    #[test]
+    fn forced_splits_reproduce_the_sequential_rows_over_the_workload() {
+        use crate::config::PlannerKind;
+        use crate::planner::plan;
+        use wireframe_datagen::{full_workload, generate as generate_graph, YagoConfig};
+
+        let g = generate_graph(&YagoConfig::tiny());
+        let workload = full_workload(&g).unwrap();
+        assert_eq!(workload.len(), 20);
+        for bq in &workload {
+            let order = plan(&g, &bq.query, PlannerKind::DpLeftDeep).unwrap().order;
+            let (ag, _) = generate(&g, &bq.query, &order, &EvalOptions::default()).unwrap();
+            // A threshold of one seed per worker forces a genuine split even
+            // on the tiny dataset.
+            let (one, one_stats) = defactorize_split(&bq.query, &ag, 1, 1).unwrap();
+            for threads in [2, 4] {
+                let (many, many_stats) = defactorize_split(&bq.query, &ag, threads, 1).unwrap();
+                assert_eq!(
+                    one.flat_data(),
+                    many.flat_data(),
+                    "{}: {threads} threads changed the rows or their order",
+                    bq.name
+                );
+                assert_eq!(one.len(), many.len(), "{}", bq.name);
+                assert_eq!(one_stats.embeddings, many_stats.embeddings, "{}", bq.name);
+            }
+        }
     }
 }

@@ -56,10 +56,9 @@ use wireframe_query::{ConjunctiveQuery, EmbeddingSet, Term, TriplePattern, Var};
 
 use crate::answer_graph::AnswerGraph;
 use crate::config::EvalOptions;
-use crate::defactorize::{defactorize, embedding_plan, DefactorizationStats, SeedEnumerator};
+use crate::defactorize::{defactorize_projected, DefactorizationStats, SeedEnumerator};
 use crate::error::EngineError;
 use crate::generate::{burn_nodes, GenerationStats};
-use crate::parallel::{defactorize_parallel, ParallelOptions};
 use crate::planner::Plan;
 use crate::triangulate::EdgeBurnbackStats;
 
@@ -881,20 +880,7 @@ impl MaterializedQuery {
     /// projected embeddings. This is the lazy half of the maintenance
     /// design — the embeddings are never retained, only re-derived.
     pub fn defactorize(&self) -> Result<(EmbeddingSet, DefactorizationStats), EngineError> {
-        let (full, stats) = if self.options.threads == 1 {
-            let order = embedding_plan(&self.query, &self.answer_graph);
-            defactorize(&self.query, &self.answer_graph, &order)?
-        } else {
-            defactorize_parallel(
-                &self.query,
-                &self.answer_graph,
-                &ParallelOptions::for_threads(self.options.threads),
-            )?
-        };
-        let embeddings = full.into_projected_set(&self.query).ok_or_else(|| {
-            EngineError::Internal("projection referenced a variable missing from the result".into())
-        })?;
-        Ok((embeddings, stats))
+        defactorize_projected(&self.query, &self.answer_graph, self.options.threads)
     }
 
     /// Renders a compact explanation of a view-served evaluation.

@@ -109,34 +109,34 @@ fn apply_step(
 }
 
 /// Whether pattern `i` is connected to the set of already-planned patterns
-/// (shares a variable), or the set is still empty.
-fn connected_to(query: &ConjunctiveQuery, chosen_mask: u64, i: usize) -> bool {
-    if chosen_mask == 0 {
-        return true;
-    }
+/// (shares a variable), or the set is still empty. `chosen(j)` tells whether
+/// pattern `j` is planned.
+fn connected_to(query: &ConjunctiveQuery, i: usize, chosen: impl Fn(usize) -> bool) -> bool {
     let pi = &query.patterns()[i];
+    let mut any_chosen = false;
     for (j, pj) in query.patterns().iter().enumerate() {
-        if chosen_mask & (1 << j) == 0 {
+        if !chosen(j) {
             continue;
         }
         if pi.variables().any(|v| pj.mentions(v)) {
             return true;
         }
+        any_chosen = true;
     }
-    false
+    !any_chosen
 }
 
 fn greedy(estimator: &Estimator<'_, '_>, query: &ConjunctiveQuery, _qg: &QueryGraph) -> Plan {
     let n = query.num_patterns();
     let mut order = Vec::with_capacity(n);
     let mut cards = vec![None; query.num_vars()];
-    let mut chosen_mask: u64 = 0;
+    let mut chosen = vec![false; n];
     let mut total_cost = 0.0;
     let mut total_edges = 0.0;
     for _ in 0..n {
         let mut best: Option<(usize, f64, f64, f64, f64, f64)> = None;
         for i in 0..n {
-            if chosen_mask & (1 << i) != 0 || !connected_to(query, chosen_mask, i) {
+            if chosen[i] || !connected_to(query, i, |j| chosen[j]) {
                 continue;
             }
             let step = estimator.estimate_step(&cards, i);
@@ -162,7 +162,7 @@ fn greedy(estimator: &Estimator<'_, '_>, query: &ConjunctiveQuery, _qg: &QueryGr
         }
         let (i, cost, _, edges, sc, oc) =
             best.expect("a connected query always has a next connected pattern");
-        chosen_mask |= 1 << i;
+        chosen[i] = true;
         order.push(i);
         total_cost += cost;
         total_edges += edges;
@@ -189,7 +189,7 @@ struct DpEntry {
 
 fn dp_left_deep(estimator: &Estimator<'_, '_>, query: &ConjunctiveQuery, _qg: &QueryGraph) -> Plan {
     let n = query.num_patterns();
-    let full: u64 = if n == 64 { u64::MAX } else { (1u64 << n) - 1 };
+    let full: u64 = (1u64 << n) - 1;
     let mut table: HashMap<u64, DpEntry> = HashMap::new();
     table.insert(
         0,
@@ -215,7 +215,7 @@ fn dp_left_deep(estimator: &Estimator<'_, '_>, query: &ConjunctiveQuery, _qg: &Q
                 .expect("entry exists for enumerated mask")
                 .clone();
             for i in 0..n {
-                if mask & (1 << i) != 0 || !connected_to(query, mask, i) {
+                if mask & (1 << i) != 0 || !connected_to(query, i, |j| mask & (1 << j) != 0) {
                     continue;
                 }
                 let step = estimator.estimate_step(&entry.cards, i);
@@ -360,8 +360,7 @@ mod tests {
         let p = plan(&g, &q, PlannerKind::Greedy).unwrap();
         // Every prefix of the order must be connected.
         for k in 1..p.order.len() {
-            let mask: u64 = p.order[..k].iter().map(|&i| 1u64 << i).sum();
-            assert!(connected_to(&q, mask, p.order[k]));
+            assert!(connected_to(&q, p.order[k], |j| p.order[..k].contains(&j)));
         }
     }
 
@@ -395,5 +394,29 @@ mod tests {
         let q = qb.build().unwrap();
         let p = plan(&g, &q, PlannerKind::DpLeftDeep).unwrap();
         assert_eq!(p.order, vec![0]);
+    }
+
+    #[test]
+    fn a_seventy_pattern_chain_plans_and_evaluates() {
+        // Beyond 64 patterns no bitmask can hold the chosen set.
+        let mut b = GraphBuilder::new();
+        b.add("a", "p", "b");
+        b.add("b", "p", "a");
+        let g = b.build();
+        let mut qb = CqBuilder::new(g.dictionary());
+        for i in 0..70 {
+            qb.pattern(&format!("?x{i}"), "p", &format!("?x{}", i + 1))
+                .unwrap();
+        }
+        let q = qb.build().unwrap();
+        for kind in [PlannerKind::DpLeftDeep, PlannerKind::Greedy] {
+            let p = plan(&g, &q, kind).unwrap();
+            let mut order = p.order.clone();
+            order.sort_unstable();
+            assert_eq!(order, (0..70).collect::<Vec<_>>(), "{kind:?}");
+        }
+        let engine = crate::WireframeEngine::new(&g);
+        let out = engine.execute(&q).unwrap();
+        assert_eq!(out.embedding_count(), 2, "the chain alternates a, b, a, …");
     }
 }

@@ -53,11 +53,10 @@ use wireframe_query::{ConjunctiveQuery, EmbeddingSet, QueryGraph, Term, Var};
 
 use crate::answer_graph::AnswerGraph;
 use crate::config::EvalOptions;
-use crate::defactorize::{defactorize, embedding_plan, DefactorizationStats};
+use crate::defactorize::{defactorize_projected, DefactorizationStats};
 use crate::error::EngineError;
 use crate::generate::GenerationStats;
 use crate::maintain::{ends_match, ProvenanceIndex};
-use crate::parallel::{defactorize_parallel, ParallelOptions};
 use crate::planner::{self, Plan};
 use crate::sharded::{cleared_answer_graph, settle_candidates};
 
@@ -827,20 +826,7 @@ impl WcoView {
     /// Phase two on demand: defactorizes the current answer graph into
     /// projected embeddings (never retained, only re-derived).
     pub fn defactorize(&self) -> Result<(EmbeddingSet, DefactorizationStats), EngineError> {
-        let (full, stats) = if self.options.threads == 1 {
-            let order = embedding_plan(&self.query, &self.answer_graph);
-            defactorize(&self.query, &self.answer_graph, &order)?
-        } else {
-            defactorize_parallel(
-                &self.query,
-                &self.answer_graph,
-                &ParallelOptions::for_threads(self.options.threads),
-            )?
-        };
-        let embeddings = full.into_projected_set(&self.query).ok_or_else(|| {
-            EngineError::Internal("projection referenced a variable missing from the result".into())
-        })?;
-        Ok((embeddings, stats))
+        defactorize_projected(&self.query, &self.answer_graph, self.options.threads)
     }
 
     fn factorized(&self) -> Factorized {

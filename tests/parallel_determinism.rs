@@ -1,11 +1,12 @@
 //! Parallel defactorization determinism: for every query of the registry
 //! equivalence workload, `threads = 1` and `threads = 4` must produce the
-//! identical embedding set — both through the low-level defactorizer (forced
-//! onto the parallel path) and end to end through the engine registry's
-//! `threads` knob.
+//! identical rows in the identical order through the public
+//! `defactorize_parallel`, and the identical embedding set end to end
+//! through the engine registry's `threads` knob. (The split itself, forced
+//! onto the tiny dataset, is pinned by the unit tests of `wireframe-core`.)
 
 use wireframe::core::{
-    defactorize_parallel, generate as generate_ag, plan, EvalOptions, ParallelOptions, PlannerKind,
+    defactorize_parallel, generate as generate_ag, plan, EvalOptions, PlannerKind,
 };
 use wireframe::datagen::{full_workload, generate, YagoConfig};
 use wireframe::{default_registry, EngineConfig};
@@ -20,31 +21,13 @@ fn low_level_parallel_defactorization_is_thread_count_invariant() {
         let order = plan(&g, &bq.query, PlannerKind::DpLeftDeep).unwrap().order;
         let (ag, _) = generate_ag(&g, &bq.query, &order, &EvalOptions::default()).unwrap();
 
-        // min_seeds_per_thread = 1 forces the parallel path even on the tiny
-        // dataset, so this is a genuine multi-worker run, not the sequential
-        // fallback.
-        let (one, one_stats) = defactorize_parallel(
-            &bq.query,
-            &ag,
-            &ParallelOptions {
-                threads: 1,
-                min_seeds_per_thread: 1,
-            },
-        )
-        .unwrap();
-        let (four, four_stats) = defactorize_parallel(
-            &bq.query,
-            &ag,
-            &ParallelOptions {
-                threads: 4,
-                min_seeds_per_thread: 1,
-            },
-        )
-        .unwrap();
+        let (one, one_stats) = defactorize_parallel(&bq.query, &ag, 1).unwrap();
+        let (four, four_stats) = defactorize_parallel(&bq.query, &ag, 4).unwrap();
 
-        assert!(
-            one.same_answer(&four),
-            "{}: thread count changed the embedding set",
+        assert_eq!(
+            one.flat_data(),
+            four.flat_data(),
+            "{}: thread count changed the rows",
             bq.name
         );
         assert_eq!(
