@@ -310,11 +310,11 @@ mod tests {
             .with_edge_burnback()
             .with_explain()
             .with_threads(4)
-            .with_store(StoreKind::Map)
+            .with_store(StoreKind::Delta)
             .with_limit(25);
         assert!(c.edge_burnback && c.explain);
         assert_eq!(c.threads, 4);
-        assert_eq!(c.store, Some(StoreKind::Map));
+        assert_eq!(c.store, Some(StoreKind::Delta));
         assert_eq!(c.limit, 25);
         assert_eq!(
             EngineConfig::default(),

@@ -1,19 +1,18 @@
-//! Criterion (shim) micro-benchmark of storage-backend construction:
-//! build time per backend and dataset size, plus a bytes-per-edge report so
-//! index memory cost is tracked alongside query latency.
+//! Criterion (shim) micro-benchmark of CSR store construction: build time
+//! per dataset size, plus a bytes-per-edge report so index memory cost is
+//! tracked alongside query latency.
 //!
 //! Build cost matters because the `Session` facade re-indexes graphs on
-//! `--store` switches and because bulk loads gate serving start-up; the
-//! bytes-per-edge figure is the space side of the CSR-vs-map trade.
+//! `--store` switches and because bulk loads gate serving start-up.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::time::Duration;
 
 use wireframe_bench::{build_dataset, DatasetSize};
-use wireframe_graph::{CsrStore, GraphStore, MapStore, NodeId, PredId, StoreKind};
+use wireframe_graph::{CsrStore, GraphStore, NodeId, PredId};
 
-/// Extracts the raw per-predicate edge lists from a built graph, so both
-/// backends are constructed from identical inputs.
+/// Extracts the raw per-predicate edge lists from a built graph, so every
+/// iteration builds from identical inputs.
 fn raw_edges(graph: &wireframe_graph::Graph) -> (usize, Vec<Vec<(NodeId, NodeId)>>) {
     let mut edges = vec![Vec::new(); graph.predicate_count()];
     for p in 0..graph.predicate_count() {
@@ -37,26 +36,16 @@ fn bench_store_build(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("csr", size.name()), &edges, |b, edges| {
             b.iter(|| CsrStore::build(num_nodes, edges.clone()).triple_count())
         });
-        group.bench_with_input(BenchmarkId::new("map", size.name()), &edges, |b, edges| {
-            b.iter(|| MapStore::build(num_nodes, edges.clone()).triple_count())
-        });
 
         // Bytes-per-edge report (not timed — a space figure to track).
-        let csr = CsrStore::build(num_nodes, edges.clone());
-        let map = MapStore::build(num_nodes, edges.clone());
-        for (kind, store) in [
-            (StoreKind::Csr, &csr as &dyn GraphStore),
-            (StoreKind::Map, &map as &dyn GraphStore),
-        ] {
-            println!(
-                "store_build/bytes_per_edge/{}/{}: {:.1} B/edge ({} bytes / {} edges)",
-                kind.name(),
-                size.name(),
-                store.heap_bytes() as f64 / triples as f64,
-                store.heap_bytes(),
-                triples,
-            );
-        }
+        let csr = CsrStore::build(num_nodes, edges);
+        println!(
+            "store_build/bytes_per_edge/csr/{}: {:.1} B/edge ({} bytes / {} edges)",
+            size.name(),
+            csr.heap_bytes() as f64 / triples as f64,
+            csr.heap_bytes(),
+            triples,
+        );
     }
     group.finish();
 }

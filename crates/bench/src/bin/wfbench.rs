@@ -12,7 +12,7 @@
 //!   --iterations <N>              workload passes per thread (default 5)
 //!   --engines <a,b,…>             engines to measure (default: every registered engine)
 //!   --workload full|table1|chains|stars   query mix (default full = all 20)
-//!   --store csr|map|delta         graph storage backend to index the dataset with
+//!   --store csr|delta             graph storage backend to index the dataset with
 //!                                 (default csr; churn is cheap only on delta)
 //!   --scenario serve|churn|serve-net|sharded|cyclic
 //!                                 static serving loop (default); dynamic-graph
@@ -132,7 +132,7 @@ struct Options {
 
 fn usage() -> &'static str {
     "usage: wfbench [--size tiny|small|benchmark|large] [--threads N] [--iterations N] \
-     [--engines a,b,…] [--workload full|table1|chains|stars] [--store csr|map|delta] \
+     [--engines a,b,…] [--workload full|table1|chains|stars] [--store csr|delta] \
      [--scenario serve|churn|serve-net|sharded|cyclic [--epochs N] [--batch N] [--insert-fraction F] \
      [--churn-seed N] [--limit K] [--clients N] [--requests N] [--write-fraction F] [--queue-depth N] \
      [--shards N]] [--maintenance incremental|reeval] [--compaction-threshold F] \
@@ -819,13 +819,14 @@ mod tests {
     #[test]
     fn store_flag_parses() {
         assert_eq!(parse(&[]).unwrap().store, StoreKind::Csr);
-        assert_eq!(parse(&["--store", "map"]).unwrap().store, StoreKind::Map);
         assert_eq!(
             parse(&["--store", "delta"]).unwrap().store,
             StoreKind::Delta
         );
-        let err = parse(&["--store", "btree"]).unwrap_err();
-        assert!(err.contains("csr") && err.contains("map"), "{err}");
+        for bad in ["btree", "map"] {
+            let err = parse(&["--store", bad]).unwrap_err();
+            assert!(err.contains("csr") && err.contains("delta"), "{err}");
+        }
     }
 
     #[test]

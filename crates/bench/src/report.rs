@@ -352,8 +352,7 @@ pub struct BenchReport {
     pub schema_version: u64,
     /// Dataset size name (`tiny` / `small` / `benchmark`).
     pub dataset: String,
-    /// Graph storage backend the run was indexed with (`csr` / `map` /
-    /// `delta`). Reports written before the field existed read back as
+    /// Graph storage backend the run was indexed with (`csr` / `delta`). Reports written before the field existed read back as
     /// `csr`.
     pub store: String,
     /// Driver scenario (`serve` / `churn`). Version-1 reports read back as

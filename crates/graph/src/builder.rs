@@ -164,7 +164,7 @@ mod tests {
 
     #[test]
     fn duplicate_ingestion_is_set_semantics_on_every_store() {
-        for kind in [StoreKind::Csr, StoreKind::Map, StoreKind::Delta] {
+        for kind in [StoreKind::Csr, StoreKind::Delta] {
             let mut b = GraphBuilder::new();
             for _ in 0..3 {
                 b.add("a", "p", "b");

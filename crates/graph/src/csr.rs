@@ -132,6 +132,12 @@ impl CsrStore {
     fn pred(&self, p: PredId) -> &PredCsr {
         &self.predicates[p.index()]
     }
+
+    /// The sorted pair array of predicate `p`, borrowed.
+    #[inline]
+    pub(crate) fn pair_slice(&self, p: PredId) -> &[(NodeId, NodeId)] {
+        &self.pred(p).pairs
+    }
 }
 
 impl GraphStore for CsrStore {
@@ -154,11 +160,7 @@ impl GraphStore for CsrStore {
 
     #[inline]
     fn pairs(&self, p: PredId) -> std::borrow::Cow<'_, [(NodeId, NodeId)]> {
-        std::borrow::Cow::Borrowed(&self.pred(p).pairs)
-    }
-
-    fn neighbors_sorted(&self) -> bool {
-        true
+        std::borrow::Cow::Borrowed(self.pair_slice(p))
     }
 
     #[inline]
@@ -245,8 +247,6 @@ mod tests {
         assert_eq!(s.objects_of(p, n(0)), &[n(1), n(2)]);
         assert_eq!(s.objects_of(p, n(2)), &[] as &[NodeId]);
         assert_eq!(s.subjects_of(p, n(2)), &[n(0), n(1), n(3)]);
-        assert_eq!(s.out_degree(p, n(0)), 2);
-        assert_eq!(s.in_degree(p, n(2)), 3);
     }
 
     #[test]

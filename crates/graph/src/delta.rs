@@ -17,9 +17,8 @@
 //! * per-node neighbor slices stay zero-copy: a mutation merges the touched
 //!   nodes' base adjacency with the side-tables **once, at write time**, and
 //!   stores the merged sorted list as an override — reads then return either
-//!   the override slice or the base slice, so
-//!   [`neighbors_sorted`](GraphStore::neighbors_sorted) remains `true` and
-//!   the evaluators keep their galloping fast paths.
+//!   the override slice or the base slice, so every slice stays sorted as
+//!   the store contract requires.
 //!
 //! Statistics (`distinct_*`, `max_*_degree`) are recomputed exactly for the
 //! predicates a mutation touches (an `O(|predicate|)` scan of the merged
@@ -229,10 +228,7 @@ impl DeltaStore {
     #[inline]
     fn base_pairs(&self, p: PredId) -> &[(NodeId, NodeId)] {
         if p.index() < self.base.num_predicates() {
-            match self.base.pairs(p) {
-                Cow::Borrowed(pairs) => pairs,
-                Cow::Owned(_) => unreachable!("CsrStore::pairs always borrows"),
-            }
+            self.base.pair_slice(p)
         } else {
             &[]
         }
@@ -317,11 +313,7 @@ impl DeltaStore {
                     pred.fwd.remove(&s);
                     continue;
                 }
-                let base = if p.index() < self.base.num_predicates() {
-                    self.base.objects_of(p, s)
-                } else {
-                    &[]
-                };
+                let base = self.base_objects(p, s);
                 pred.fwd.insert(s, merge_sorted(base, &add_objs, &del_objs));
             }
             for o in objects {
@@ -343,11 +335,7 @@ impl DeltaStore {
                     pred.bwd.remove(&o);
                     continue;
                 }
-                let base = if p.index() < self.base.num_predicates() {
-                    self.base.subjects_of(p, o)
-                } else {
-                    &[]
-                };
+                let base = self.base_subjects(p, o);
                 pred.bwd.insert(o, merge_sorted(base, &add_subs, &del_subs));
             }
         }
@@ -413,10 +401,6 @@ impl GraphStore for DeltaStore {
         } else {
             Cow::Owned(self.merged_pairs(p))
         }
-    }
-
-    fn neighbors_sorted(&self) -> bool {
-        true
     }
 
     #[inline]
@@ -525,7 +509,6 @@ mod tests {
         assert_eq!(s.triple_count(), 4);
         assert_eq!(s.delta_len(), 0);
         assert_eq!(s.delta_fraction(), 0.0);
-        assert!(s.neighbors_sorted());
         assert_eq!(s.objects_of(PredId(0), n(0)), &[n(1), n(2)]);
         assert_eq!(s.subjects_of(PredId(0), n(2)), &[n(0), n(1), n(3)]);
         assert!(s.has_triple(n(0), PredId(0), n(1)));

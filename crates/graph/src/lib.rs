@@ -20,10 +20,10 @@
 //! The physical layout behind those access paths is a pluggable **storage
 //! backend**: the [`GraphStore`] trait abstracts the per-predicate indexes,
 //! and a [`StoreKind`] selects the implementation when the graph is built —
-//! [`CsrStore`] (sorted contiguous adjacency, the default), [`MapStore`]
-//! (hash-map adjacency, the comparison baseline), or [`DeltaStore`] (an
-//! immutable CSR base under a sorted insert/tombstone overlay, for dynamic
-//! graphs). The CSR and delta backends hand out **sorted** neighbor slices,
+//! [`CsrStore`] (sorted contiguous adjacency, the default) or [`DeltaStore`]
+//! (an immutable CSR base under a sorted insert/tombstone overlay, for
+//! dynamic graphs). Every backend hands out **ascending-sorted** neighbor
+//! slices — the store contract, like the paper's sorted composite indexes —
 //! which the [`slices`] module turns into binary-search membership probes
 //! and galloping intersections for the evaluators' hot paths.
 //!
@@ -43,7 +43,6 @@ mod dictionary;
 mod error;
 mod histogram;
 mod ids;
-mod map;
 mod mutation;
 mod ntriples;
 mod partition;
@@ -58,7 +57,6 @@ pub use dictionary::Dictionary;
 pub use error::GraphError;
 pub use histogram::DegreeHistogram;
 pub use ids::{NodeId, PredId, Triple};
-pub use map::MapStore;
 pub use mutation::{EdgeDelta, Mutation, MutationOp, MutationOutcome};
 pub use ntriples::{load, load_into, parse_line, write};
 pub use partition::{partition_graph, route_mutation, shard_of};

@@ -119,6 +119,28 @@ impl DegreeList {
     }
 }
 
+/// One predicate's 1-gram statistics and its subject/object degree lists.
+/// Pairs come sorted by subject (the store contract), so only the objects
+/// need sorting.
+fn predicate_entry(
+    store: &dyn GraphStore,
+    p: PredId,
+) -> (UnigramStats, Arc<DegreeList>, Arc<DegreeList>) {
+    let unigram = UnigramStats {
+        cardinality: store.cardinality(p),
+        distinct_subjects: store.distinct_subjects(p),
+        distinct_objects: store.distinct_objects(p),
+        max_out_degree: store.max_out_degree(p),
+        max_in_degree: store.max_in_degree(p),
+    };
+    let pairs = store.pairs(p);
+    let subjects = DegreeList::from_sorted_nodes(pairs.iter().map(|&(s, _)| s));
+    let mut objects: Vec<NodeId> = pairs.iter().map(|&(_, o)| o).collect();
+    objects.sort_unstable();
+    let objects = DegreeList::from_sorted_nodes(objects.into_iter());
+    (unigram, Arc::new(subjects), Arc::new(objects))
+}
+
 /// The statistics catalog attached to a [`Graph`](crate::store::Graph).
 #[derive(Debug)]
 pub struct Catalog {
@@ -164,25 +186,10 @@ impl Catalog {
         let mut subject_degrees = Vec::with_capacity(count);
         let mut object_degrees = Vec::with_capacity(count);
         for p in 0..count {
-            let p = PredId(p as u32);
-            unigrams.push(UnigramStats {
-                cardinality: store.cardinality(p),
-                distinct_subjects: store.distinct_subjects(p),
-                distinct_objects: store.distinct_objects(p),
-                max_out_degree: store.max_out_degree(p),
-                max_in_degree: store.max_in_degree(p),
-            });
-            // Pair order is backend-dependent; sort both ends locally so the
-            // catalog is bit-identical across storage backends.
-            let pairs = store.pairs(p);
-            let mut subjects: Vec<NodeId> = pairs.iter().map(|&(s, _)| s).collect();
-            subjects.sort_unstable();
-            subject_degrees.push(Arc::new(DegreeList::from_sorted_nodes(
-                subjects.into_iter(),
-            )));
-            let mut objects: Vec<NodeId> = pairs.iter().map(|&(_, o)| o).collect();
-            objects.sort_unstable();
-            object_degrees.push(Arc::new(DegreeList::from_sorted_nodes(objects.into_iter())));
+            let (unigram, subjects, objects) = predicate_entry(store, PredId(p as u32));
+            unigrams.push(unigram);
+            subject_degrees.push(subjects);
+            object_degrees.push(objects);
         }
         Catalog {
             unigrams,
@@ -213,22 +220,8 @@ impl Catalog {
         subject_degrees.resize(count, Arc::new(DegreeList::default()));
         object_degrees.resize(count, Arc::new(DegreeList::default()));
         for &p in touched {
-            unigrams[p.index()] = UnigramStats {
-                cardinality: store.cardinality(p),
-                distinct_subjects: store.distinct_subjects(p),
-                distinct_objects: store.distinct_objects(p),
-                max_out_degree: store.max_out_degree(p),
-                max_in_degree: store.max_in_degree(p),
-            };
-            let pairs = store.pairs(p);
-            let mut subjects: Vec<NodeId> = pairs.iter().map(|&(s, _)| s).collect();
-            subjects.sort_unstable();
-            subject_degrees[p.index()] =
-                Arc::new(DegreeList::from_sorted_nodes(subjects.into_iter()));
-            let mut objects: Vec<NodeId> = pairs.iter().map(|&(_, o)| o).collect();
-            objects.sort_unstable();
-            object_degrees[p.index()] =
-                Arc::new(DegreeList::from_sorted_nodes(objects.into_iter()));
+            let i = p.index();
+            (unigrams[i], subject_degrees[i], object_degrees[i]) = predicate_entry(store, p);
         }
         let bigram_cache: HashMap<_, _> = self
             .bigram_cache

@@ -12,14 +12,12 @@
 //! The physical layout behind the lookups is pluggable: every backend
 //! implements [`GraphStore`], and a [`StoreKind`] selects one at build time
 //! ([`GraphBuilder::build_with_store`](crate::builder::GraphBuilder::build_with_store))
-//! or re-indexes an existing graph ([`Graph::with_store`]). Three backends
-//! ship:
+//! or re-indexes an existing graph ([`Graph::with_store`]). Two backends
+//! ship, and both hand out ascending-sorted neighbor slices:
 //!
 //! * [`CsrStore`](crate::csr::CsrStore) (`StoreKind::Csr`, the default) —
 //!   per-predicate forward/reverse adjacency in sorted, contiguous
 //!   `offsets`/`targets` arrays,
-//! * [`MapStore`](crate::map::MapStore) (`StoreKind::Map`) — hash-map
-//!   adjacency, the seed-era edge-map layout, kept as the measured baseline,
 //! * [`DeltaStore`](crate::delta::DeltaStore) (`StoreKind::Delta`) — an
 //!   immutable CSR base plus sorted insert/tombstone overlays, for graphs
 //!   that change while being served.
@@ -32,7 +30,7 @@ use crate::dictionary::Dictionary;
 use crate::ids::{NodeId, PredId, Triple};
 use crate::mutation::{EdgeDelta, Mutation, MutationOp, MutationOutcome};
 use crate::stats::Catalog;
-use crate::{CsrStore, DeltaStore, MapStore};
+use crate::{CsrStore, DeltaStore};
 
 /// Default overlay fraction at which a delta-backed [`Graph::apply`]
 /// compacts the overlay into a fresh CSR base (see
@@ -45,8 +43,6 @@ pub enum StoreKind {
     /// Compressed sparse row: contiguous sorted adjacency arrays (default).
     #[default]
     Csr,
-    /// Hash-map adjacency: one map per direction per predicate.
-    Map,
     /// Immutable CSR base plus a mutable sorted insert/tombstone overlay —
     /// the backend for dynamic graphs ([`Graph::apply`]).
     Delta,
@@ -57,10 +53,9 @@ impl StoreKind {
     pub fn parse(value: &str) -> Result<Self, String> {
         match value {
             "csr" => Ok(StoreKind::Csr),
-            "map" => Ok(StoreKind::Map),
             "delta" => Ok(StoreKind::Delta),
             other => Err(format!(
-                "unrecognized store {other:?} (accepted: csr, map, delta)"
+                "unrecognized store {other:?} (accepted: csr, delta)"
             )),
         }
     }
@@ -69,7 +64,6 @@ impl StoreKind {
     pub fn name(self) -> &'static str {
         match self {
             StoreKind::Csr => "csr",
-            StoreKind::Map => "map",
             StoreKind::Delta => "delta",
         }
     }
@@ -81,14 +75,11 @@ impl StoreKind {
 /// Contract shared by every backend, relied on by the evaluators:
 ///
 /// * [`pairs`](GraphStore::pairs) enumerates each distinct edge of a
-///   predicate exactly once (order and cost are backend-dependent: CSR hands
-///   back its sorted contiguous array for free, the edge-map has to walk its
-///   hash maps and materialize);
+///   predicate exactly once, sorted by `(subject, object)`;
 /// * [`objects_of`](GraphStore::objects_of) / [`subjects_of`](GraphStore::subjects_of)
-///   return each neighbor exactly once; when
-///   [`neighbors_sorted`](GraphStore::neighbors_sorted) is `true` the slices
-///   are **ascending-sorted**, and callers may binary-search and gallop
-///   ([`crate::slices`]) instead of scanning;
+///   return each neighbor exactly once, in an **ascending-sorted** slice, so
+///   callers binary-search and gallop ([`crate::slices`]) instead of
+///   scanning;
 /// * all methods accept out-of-range nodes and return empty results for them.
 pub trait GraphStore: std::fmt::Debug + Send + Sync {
     /// Which backend this is.
@@ -103,14 +94,10 @@ pub trait GraphStore: std::fmt::Debug + Send + Sync {
     /// Number of distinct edges carrying predicate `p`.
     fn cardinality(&self, p: PredId) -> usize;
 
-    /// All distinct `(subject, object)` pairs of predicate `p`. Borrowed and
-    /// sorted for backends that keep a pair array (CSR); assembled on the
-    /// fly, in adjacency order, for backends that do not (the edge-map).
+    /// All distinct `(subject, object)` pairs of predicate `p`, sorted.
+    /// Borrowed when the backend keeps the pair array as is (CSR, and a
+    /// delta predicate without overlay); merged on read otherwise.
     fn pairs(&self, p: PredId) -> Cow<'_, [(NodeId, NodeId)]>;
-
-    /// Whether neighbor slices are ascending-sorted (enabling binary-search
-    /// membership probes and galloping intersections in the evaluators).
-    fn neighbors_sorted(&self) -> bool;
 
     /// Objects reachable from `s` over `p`.
     fn objects_of(&self, p: PredId, s: NodeId) -> &[NodeId];
@@ -120,18 +107,6 @@ pub trait GraphStore: std::fmt::Debug + Send + Sync {
 
     /// Whether the triple `(s, p, o)` is present.
     fn has_triple(&self, s: NodeId, p: PredId, o: NodeId) -> bool;
-
-    /// Out-degree of `s` under `p`.
-    #[inline]
-    fn out_degree(&self, p: PredId, s: NodeId) -> usize {
-        self.objects_of(p, s).len()
-    }
-
-    /// In-degree of `o` under `p`.
-    #[inline]
-    fn in_degree(&self, p: PredId, o: NodeId) -> usize {
-        self.subjects_of(p, o).len()
-    }
 
     /// Number of distinct subjects in `p`'s edges.
     fn distinct_subjects(&self, p: PredId) -> usize;
@@ -151,31 +126,12 @@ pub trait GraphStore: std::fmt::Debug + Send + Sync {
     fn heap_bytes(&self) -> usize;
 }
 
-/// Iterator over one predicate's pairs that borrows when the backend can
-/// lend its pair array and owns when the backend materializes scans.
-enum PairsIter<'a> {
-    Borrowed(std::slice::Iter<'a, (NodeId, NodeId)>),
-    Owned(std::vec::IntoIter<(NodeId, NodeId)>),
-}
-
-impl Iterator for PairsIter<'_> {
-    type Item = (NodeId, NodeId);
-
-    fn next(&mut self) -> Option<(NodeId, NodeId)> {
-        match self {
-            PairsIter::Borrowed(it) => it.next().copied(),
-            PairsIter::Owned(it) => it.next(),
-        }
-    }
-}
-
 /// The selected backend. An enum rather than a boxed trait object so the
 /// per-lookup dispatch on the hot paths is a jump, not a vtable call, and so
 /// [`Graph`] stays plainly `Clone`.
 #[derive(Debug, Clone)]
 enum Store {
     Csr(CsrStore),
-    Map(MapStore),
     Delta(DeltaStore),
 }
 
@@ -183,7 +139,6 @@ impl Store {
     fn build(kind: StoreKind, num_nodes: usize, edges: Vec<Vec<(NodeId, NodeId)>>) -> Self {
         match kind {
             StoreKind::Csr => Store::Csr(CsrStore::build(num_nodes, edges)),
-            StoreKind::Map => Store::Map(MapStore::build(num_nodes, edges)),
             StoreKind::Delta => Store::Delta(DeltaStore::build(num_nodes, edges)),
         }
     }
@@ -192,7 +147,6 @@ impl Store {
     fn as_dyn(&self) -> &(dyn GraphStore + 'static) {
         match self {
             Store::Csr(s) => s,
-            Store::Map(s) => s,
             Store::Delta(s) => s,
         }
     }
@@ -207,8 +161,8 @@ impl Store {
 /// version shares the CSR base, the dictionary (unless the batch interns new
 /// labels), and every untouched predicate's statistics with its predecessor,
 /// so applying a mutation costs `O(overlay + touched predicates)`; on the
-/// other backends `apply` rebuilds the index (documented `O(|graph|)` — they
-/// exist for static serving and as equivalence baselines).
+/// CSR backend `apply` rebuilds the index (documented `O(|graph|)` — it
+/// exists for static serving).
 #[derive(Debug, Clone)]
 pub struct Graph {
     /// Shared across versions: a mutation clones the dictionary only when it
@@ -264,7 +218,7 @@ impl Graph {
 
     /// Sets the overlay fraction at which delta-backed [`Graph::apply`]
     /// compacts (builder form; default [`DEFAULT_COMPACTION_THRESHOLD`]).
-    /// `0.0` compacts after every mutating batch; the other backends ignore
+    /// `0.0` compacts after every mutating batch; the CSR backend ignores
     /// the knob.
     pub fn with_compaction_threshold(mut self, threshold: f64) -> Self {
         self.compaction_threshold = threshold.max(0.0);
@@ -277,7 +231,7 @@ impl Graph {
     }
 
     /// For delta-backed graphs: `(overlay edges, overlay fraction of the
-    /// base)`. `None` on the other backends.
+    /// base)`. `None` on the CSR backend.
     pub fn delta_stats(&self) -> Option<(usize, f64)> {
         match &self.store {
             Store::Delta(s) => Some((s.delta_len(), s.delta_fraction())),
@@ -285,14 +239,14 @@ impl Graph {
         }
     }
 
-    /// Delta-overlay size in edges; 0 on the non-delta backends. Integer
+    /// Delta-overlay size in edges; 0 on the CSR backend. Integer
     /// form of [`Graph::delta_stats`] for the metrics gauges.
     pub fn overlay_edges(&self) -> u64 {
         self.delta_stats().map_or(0, |(edges, _)| edges as u64)
     }
 
     /// Delta-overlay fraction of the base in parts per million; 0 on the
-    /// non-delta backends. Gauges are integers, and ppm keeps three decimal
+    /// CSR backend. Gauges are integers, and ppm keeps three decimal
     /// places of the percentage without floating point on the wire.
     pub fn overlay_fraction_ppm(&self) -> u64 {
         self.delta_stats()
@@ -310,8 +264,8 @@ impl Graph {
     /// into a fresh base when its fraction reaches
     /// [`Graph::compaction_threshold`]. The dictionary is shared with the
     /// predecessor version unless the batch interns a brand-new label (only
-    /// such batches pay a dictionary copy). On `csr`/`map` the whole index
-    /// is rebuilt (`O(|graph|)`).
+    /// such batches pay a dictionary copy). On `csr` the whole index is
+    /// rebuilt (`O(|graph|)`).
     pub fn apply(&self, mutation: &Mutation) -> (Graph, MutationOutcome) {
         // Share the dictionary across versions unless this batch actually
         // introduces a label we have never interned.
@@ -392,8 +346,8 @@ impl Graph {
                     Store::Delta(next)
                 }
             }
-            _ => {
-                // Static backends: rebuild from the merged triple set.
+            Store::Csr(_) => {
+                // Static backend: rebuild from the merged triple set.
                 let mut edges = vec![Vec::new(); num_predicates];
                 let removed: HashSet<Triple> = removes.iter().copied().collect();
                 for t in self.triples() {
@@ -404,7 +358,7 @@ impl Graph {
                 for t in &inserts {
                     edges[t.predicate.index()].push((t.subject, t.object));
                 }
-                Store::build(self.store_kind(), num_nodes, edges)
+                Store::Csr(CsrStore::build(num_nodes, edges))
             }
         };
         let catalog = self.catalog.refreshed(store.as_dyn(), &touched, num_nodes);
@@ -448,11 +402,7 @@ impl Graph {
 
     /// Which storage backend this graph is indexed with.
     pub fn store_kind(&self) -> StoreKind {
-        match &self.store {
-            Store::Csr(_) => StoreKind::Csr,
-            Store::Map(_) => StoreKind::Map,
-            Store::Delta(_) => StoreKind::Delta,
-        }
+        self.store().kind()
     }
 
     /// The string dictionary used to encode this graph.
@@ -467,20 +417,12 @@ impl Graph {
 
     /// Number of distinct predicates (edge labels).
     pub fn predicate_count(&self) -> usize {
-        match &self.store {
-            Store::Csr(s) => s.num_predicates(),
-            Store::Map(s) => s.num_predicates(),
-            Store::Delta(s) => s.num_predicates(),
-        }
+        self.store().num_predicates()
     }
 
     /// Number of distinct triples (labeled edges).
     pub fn triple_count(&self) -> usize {
-        match &self.store {
-            Store::Csr(s) => s.triple_count(),
-            Store::Map(s) => s.triple_count(),
-            Store::Delta(s) => s.triple_count(),
-        }
+        self.store().triple_count()
     }
 
     /// The statistics catalog (1-gram and 2-gram edge-label statistics).
@@ -488,45 +430,27 @@ impl Graph {
         &self.catalog
     }
 
-    /// All distinct `(subject, object)` pairs carrying predicate `p`
-    /// (borrowed and sorted from the CSR backend; assembled per call by the
-    /// edge-map backend).
-    #[inline]
+    /// All distinct `(subject, object)` pairs carrying predicate `p`, sorted
+    /// (borrowed from the CSR backend; merged on read by a delta predicate
+    /// with a pending overlay).
     pub fn pairs(&self, p: PredId) -> Cow<'_, [(NodeId, NodeId)]> {
-        match &self.store {
-            Store::Csr(s) => s.pairs(p),
-            Store::Map(s) => s.pairs(p),
-            Store::Delta(s) => s.pairs(p),
-        }
+        self.store().pairs(p)
     }
 
-    /// Whether this graph's neighbor slices are ascending-sorted (see
-    /// [`GraphStore::neighbors_sorted`]).
-    #[inline]
-    pub fn neighbors_sorted(&self) -> bool {
-        match &self.store {
-            Store::Csr(s) => s.neighbors_sorted(),
-            Store::Map(s) => s.neighbors_sorted(),
-            Store::Delta(s) => s.neighbors_sorted(),
-        }
-    }
-
-    /// Objects reachable from `s` over predicate `p`.
+    /// Objects reachable from `s` over predicate `p`, ascending-sorted.
     #[inline]
     pub fn objects_of(&self, p: PredId, s: NodeId) -> &[NodeId] {
         match &self.store {
             Store::Csr(st) => st.objects_of(p, s),
-            Store::Map(st) => st.objects_of(p, s),
             Store::Delta(st) => st.objects_of(p, s),
         }
     }
 
-    /// Subjects reaching `o` over predicate `p`.
+    /// Subjects reaching `o` over predicate `p`, ascending-sorted.
     #[inline]
     pub fn subjects_of(&self, p: PredId, o: NodeId) -> &[NodeId] {
         match &self.store {
             Store::Csr(st) => st.subjects_of(p, o),
-            Store::Map(st) => st.subjects_of(p, o),
             Store::Delta(st) => st.subjects_of(p, o),
         }
     }
@@ -536,7 +460,6 @@ impl Graph {
     pub fn has_triple(&self, s: NodeId, p: PredId, o: NodeId) -> bool {
         match &self.store {
             Store::Csr(st) => st.has_triple(s, p, o),
-            Store::Map(st) => st.has_triple(s, p, o),
             Store::Delta(st) => st.has_triple(s, p, o),
         }
     }
@@ -555,24 +478,17 @@ impl Graph {
 
     /// Number of edges carrying predicate `p`.
     pub fn predicate_cardinality(&self, p: PredId) -> usize {
-        match &self.store {
-            Store::Csr(s) => s.cardinality(p),
-            Store::Map(s) => s.cardinality(p),
-            Store::Delta(s) => s.cardinality(p),
-        }
+        self.store().cardinality(p)
     }
 
     /// Iterates over every triple in the graph, grouped by predicate
-    /// (borrowed, zero-copy iteration on the CSR backend; the edge-map
-    /// materializes each predicate's scan as it goes).
+    /// (borrowed, zero-copy iteration on the CSR backend; a delta predicate
+    /// with a pending overlay merges its scan as it goes).
     pub fn triples(&self) -> impl Iterator<Item = Triple> + '_ {
         (0..self.predicate_count()).flat_map(move |p| {
             let p = PredId(p as u32);
-            let pairs: PairsIter<'_> = match self.pairs(p) {
-                Cow::Borrowed(b) => PairsIter::Borrowed(b.iter()),
-                Cow::Owned(v) => PairsIter::Owned(v.into_iter()),
-            };
-            pairs.map(move |(s, o)| Triple::new(s, p, o))
+            let pairs = self.pairs(p);
+            (0..pairs.len()).map(move |i| Triple::new(pairs[i].0, p, pairs[i].1))
         })
     }
 }
@@ -591,12 +507,11 @@ mod tests {
         b
     }
 
-    /// Like [`sample_builder`], plus a node whose neighbors arrive in
-    /// non-ascending order — so the edge-map's arrival-order lists actually
-    /// differ from CSR's sorted ones.
+    /// Like [`sample_builder`], plus a neighbor that arrives after a larger
+    /// one, so arrival order and sorted order differ.
     fn disordered_builder() -> GraphBuilder {
         let mut b = sample_builder();
-        b.add("a", "knows", "c"); // arrives after a-knows-b but sorts before it
+        b.add("b", "knows", "a"); // arrives after b-knows-c but sorts before it
         b
     }
 
@@ -657,46 +572,48 @@ mod tests {
     #[test]
     fn store_kinds_parse_and_roundtrip() {
         assert_eq!(StoreKind::parse("csr"), Ok(StoreKind::Csr));
-        assert_eq!(StoreKind::parse("map"), Ok(StoreKind::Map));
         assert_eq!(StoreKind::parse("delta"), Ok(StoreKind::Delta));
         assert_eq!(StoreKind::default(), StoreKind::Csr);
-        let err = StoreKind::parse("btree").unwrap_err();
-        assert!(
-            err.contains("btree")
-                && err.contains("csr")
-                && err.contains("map")
-                && err.contains("delta")
-        );
-        for kind in [StoreKind::Csr, StoreKind::Map, StoreKind::Delta] {
+        for bad in ["btree", "map"] {
+            let err = StoreKind::parse(bad).unwrap_err();
+            assert!(
+                err.contains(bad) && err.contains("csr") && err.contains("delta"),
+                "{err}"
+            );
+        }
+        for kind in [StoreKind::Csr, StoreKind::Delta] {
             assert_eq!(StoreKind::parse(kind.name()), Ok(kind));
         }
     }
 
     #[test]
     fn backends_answer_identically() {
+        // CSR sorts at build time; the delta store merges the late edge into
+        // its overlay at write time. Both must hand out the same sorted slices.
         let csr = disordered_builder().build_with_store(StoreKind::Csr);
-        let map = disordered_builder().build_with_store(StoreKind::Map);
-        assert_eq!(map.store_kind(), StoreKind::Map);
-        assert_eq!(csr.triple_count(), map.triple_count());
+        let (delta, _) = sample_builder()
+            .build_with_store(StoreKind::Delta)
+            .with_compaction_threshold(10.0)
+            .apply(&Mutation::new().insert("b", "knows", "a"));
+        assert_eq!(delta.store_kind(), StoreKind::Delta);
+        assert_eq!(delta.delta_stats().map(|(edges, _)| edges), Some(1));
+        assert_eq!(csr.triple_count(), delta.triple_count());
+        let ascending = |slice: &[NodeId]| slice.windows(2).all(|w| w[0] < w[1]);
         for p in 0..csr.predicate_count() {
             let p = PredId(p as u32);
-            let mut map_pairs = map.pairs(p).into_owned();
-            map_pairs.sort_unstable();
-            assert_eq!(csr.pairs(p).as_ref(), map_pairs.as_slice());
+            assert_eq!(csr.pairs(p), delta.pairs(p));
             for node in 0..csr.node_count() {
                 let node = NodeId(node as u32);
-                // The edge-map's neighbor lists are arrival-ordered, not
-                // sorted; compare as sets.
-                let mut map_objects = map.objects_of(p, node).to_vec();
-                map_objects.sort_unstable();
-                assert_eq!(csr.objects_of(p, node), map_objects.as_slice());
-                let mut map_subjects = map.subjects_of(p, node).to_vec();
-                map_subjects.sort_unstable();
-                assert_eq!(csr.subjects_of(p, node), map_subjects.as_slice());
+                for g in [&csr, &delta] {
+                    assert!(ascending(g.objects_of(p, node)));
+                    assert!(ascending(g.subjects_of(p, node)));
+                }
+                assert_eq!(csr.objects_of(p, node), delta.objects_of(p, node));
+                assert_eq!(csr.subjects_of(p, node), delta.subjects_of(p, node));
             }
             assert_eq!(
                 csr.catalog().unigram(p),
-                map.catalog().unigram(p),
+                delta.catalog().unigram(p),
                 "statistics are layout-independent"
             );
         }
@@ -706,11 +623,11 @@ mod tests {
     fn with_store_reindexes_in_place() {
         let g = sample();
         let dictionary_ptr = g.dictionary().node_id("a");
-        let as_map = g.clone().with_store(StoreKind::Map);
-        assert_eq!(as_map.store_kind(), StoreKind::Map);
-        assert_eq!(as_map.triple_count(), g.triple_count());
-        assert_eq!(as_map.dictionary().node_id("a"), dictionary_ptr);
-        let back = as_map.with_store(StoreKind::Csr);
+        let as_delta = g.clone().with_store(StoreKind::Delta);
+        assert_eq!(as_delta.store_kind(), StoreKind::Delta);
+        assert_eq!(as_delta.triple_count(), g.triple_count());
+        assert_eq!(as_delta.dictionary().node_id("a"), dictionary_ptr);
+        let back = as_delta.with_store(StoreKind::Csr);
         assert_eq!(back.store_kind(), StoreKind::Csr);
         assert_eq!(back.triple_count(), 3);
         // Same-kind conversion is the identity.
@@ -735,7 +652,7 @@ mod tests {
             .insert("c", "knows", "a")
             .remove("a", "likes", "c")
             .insert("a", "admires", "d");
-        for kind in [StoreKind::Csr, StoreKind::Map, StoreKind::Delta] {
+        for kind in [StoreKind::Csr, StoreKind::Delta] {
             let g = sample_builder().build_with_store(kind);
             let (next, outcome) = g.apply(&mutation);
             assert_eq!(outcome.inserted, 2, "{kind:?}");

@@ -96,7 +96,7 @@ pub mod names {
 
     /// Total triples in the current graph version (gauge).
     pub const GRAPH_TRIPLES: &str = "graph.triples";
-    /// Delta-store overlay size in edges (gauge; 0 on csr/map stores).
+    /// Delta-store overlay size in edges (gauge; 0 on the csr store).
     pub const GRAPH_OVERLAY_EDGES: &str = "graph.delta_overlay_edges";
     /// Delta-store overlay/base fraction in parts per million (gauge).
     pub const GRAPH_OVERLAY_PPM: &str = "graph.delta_overlay_ppm";

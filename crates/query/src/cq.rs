@@ -60,7 +60,9 @@ pub struct ConjunctiveQuery {
 
 impl ConjunctiveQuery {
     /// Creates a query from parts. `var_names[i]` names variable `Var(i)`.
-    /// Every variable used by a pattern or the projection must be named.
+    /// Every variable used by a pattern or the projection must be named, and
+    /// every projected variable must appear in some pattern (otherwise no
+    /// embedding binds it).
     pub fn new(
         patterns: Vec<TriplePattern>,
         projection: Vec<Var>,
@@ -85,6 +87,15 @@ impl ConjunctiveQuery {
         }
         if patterns.is_empty() {
             return Err(QueryError::EmptyQuery);
+        }
+        if let Some(&v) = projection
+            .iter()
+            .find(|&&v| !patterns.iter().any(|p| p.mentions(v)))
+        {
+            return Err(QueryError::UnknownVariable(format!(
+                "?{}",
+                var_names[v.index()]
+            )));
         }
         Ok(ConjunctiveQuery {
             patterns,
@@ -352,6 +363,18 @@ mod tests {
         let p = TriplePattern::new(Var(5), PredId(0), Var(0));
         let err = ConjunctiveQuery::new(vec![p], vec![], false, vec!["x".into()]).unwrap_err();
         assert!(matches!(err, QueryError::UnknownVariable(_)));
+    }
+
+    #[test]
+    fn new_rejects_a_projected_variable_no_pattern_binds() {
+        let d = dict();
+        let mut b = CqBuilder::new(&d);
+        b.project("?z");
+        b.pattern("?x", "knows", "?y").unwrap();
+        assert_eq!(
+            b.build().unwrap_err(),
+            QueryError::UnknownVariable("?z".into())
+        );
     }
 
     #[test]

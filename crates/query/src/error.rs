@@ -11,7 +11,8 @@ pub enum QueryError {
     UnknownPredicate(String),
     /// A constant node label that does not exist in the graph's dictionary.
     UnknownNode(String),
-    /// A variable used but never declared (internal constructor misuse).
+    /// A variable used but never declared (internal constructor misuse), or
+    /// projected but bound by no triple pattern.
     UnknownVariable(String),
     /// The query has no triple patterns.
     EmptyQuery,

@@ -337,6 +337,15 @@ mod tests {
     }
 
     #[test]
+    fn errors_on_a_projected_variable_no_pattern_binds() {
+        let d = dict();
+        assert_eq!(
+            parse_query("SELECT ?x ?z WHERE { ?x :knows ?y . }", &d).unwrap_err(),
+            QueryError::UnknownVariable("?z".into())
+        );
+    }
+
+    #[test]
     fn errors_trailing_garbage() {
         let d = dict();
         assert!(parse_query("SELECT ?x WHERE { ?x knows ?y } LIMIT 5", &d).is_err());

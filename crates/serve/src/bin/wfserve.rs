@@ -6,7 +6,7 @@
 //! options:
 //!   --addr <host:port>        listen address (default 127.0.0.1:4151; port 0 = ephemeral)
 //!   --engine <name>           engine to evaluate with (default wireframe)
-//!   --store csr|map|delta     graph storage backend (default delta — the live-serving store)
+//!   --store csr|delta         graph storage backend (default delta — the live-serving store)
 //!   --workers <N>             worker threads for read requests (default 4)
 //!   --queue-depth <N>         bounded queue length before shedding (default 128)
 //!   --deadline-ms <N>         per-request deadline while queued (default 2000)
@@ -49,7 +49,7 @@ struct Options {
 
 fn usage() -> &'static str {
     "usage: wfserve <triples-file> [--addr host:port] [--engine <name>] \
-     [--store csr|map|delta] [--workers N] [--queue-depth N] [--deadline-ms N] \
+     [--store csr|delta] [--workers N] [--queue-depth N] [--deadline-ms N] \
      [--batch-window-ms N] [--threads N] [--shards N] [--metrics-addr host:port] \
      [--slow-query-ms N] [--obs on|off]"
 }

@@ -6,7 +6,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use wireframe::graph::{Graph, GraphBuilder, StoreKind};
-use wireframe::Session;
+use wireframe::{Session, SessionConfig};
 use wireframe_serve::{Client, ClientError, ServeConfig, Server};
 
 const CHAIN_QUERY: &str = "SELECT ?x ?z WHERE { ?x <knows> ?y . ?y <likes> ?z . }";
@@ -189,6 +189,50 @@ fn full_queue_sheds_with_overloaded_instead_of_queueing() {
     // The connection survives shedding: a later stats round trip works
     // (stats also goes through the queue, so ask the server directly).
     assert!(server.stats().requests >= 3);
+    server.shutdown();
+}
+
+#[test]
+fn a_one_worker_exploration_server_survives_an_unbound_projection() {
+    // The exploration engine has no guard of its own against a projected
+    // variable no pattern binds; the query model rejects it before any
+    // engine runs, so the only worker keeps serving.
+    let session = Session::from_config(
+        Arc::new(chain_graph(3)),
+        SessionConfig::new().engine("exploration"),
+    )
+    .unwrap();
+    let server = Server::start(
+        Arc::new(session),
+        "127.0.0.1:0",
+        ServeConfig {
+            workers: 1,
+            ..ServeConfig::default()
+        },
+    )
+    .expect("bind ephemeral port");
+    // The client side runs on its own thread, so a server that stopped
+    // answering fails the test instead of hanging it.
+    let addr = server.local_addr();
+    let (tx, rx) = std::sync::mpsc::channel();
+    let client = std::thread::spawn(move || {
+        let mut client = Client::connect(addr).unwrap();
+        let bad = client.query("SELECT ?w WHERE { ?x <knows> ?y . }", 0);
+        let same = client.query(CHAIN_QUERY, 0).map(|a| a.rows.total);
+        let mut fresh = Client::connect(addr).unwrap();
+        let other = fresh.query(CHAIN_QUERY, 0).map(|a| a.rows.total);
+        let _ = tx.send((bad.err(), same, other));
+    });
+    let (bad, same, other) = rx
+        .recv_timeout(Duration::from_secs(60))
+        .expect("the server keeps answering after the bad request");
+    client.join().unwrap();
+    match bad {
+        Some(ClientError::Server(msg)) => assert!(msg.contains("?w"), "{msg}"),
+        other => panic!("expected a server error, got {other:?}"),
+    }
+    assert_eq!(same.unwrap(), 3, "the same connection is still served");
+    assert_eq!(other.unwrap(), 3, "a fresh connection is served");
     server.shutdown();
 }
 

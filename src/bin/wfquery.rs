@@ -9,7 +9,7 @@
 //!   --query-file <path>       read the query from a file instead
 //!   --engine <name>           engine to evaluate with (default wireframe);
 //!                             `--engine help` lists the registered engines
-//!   --store csr|map|delta     graph storage backend (default csr)
+//!   --store csr|delta         graph storage backend (default csr)
 //!   --shards <N>              evaluate through an N-way vertex-partitioned
 //!                             [`wireframe::ShardedCluster`] instead of a
 //!                             single session (default 1; requires an engine
@@ -111,7 +111,7 @@ struct Options {
 
 fn usage() -> &'static str {
     "usage: wfquery <triples-file> --query <SPARQL> | --query-file <path> \
-     [--engine <name>|help] [--store csr|map|delta] [--shards N] \
+     [--engine <name>|help] [--store csr|delta] [--shards N] \
      [--mutations <path>] [--edge-burnback] [--explain] [--trace] [--limit N] \
      [--threads N] [--count-only]"
 }

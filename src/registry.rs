@@ -89,7 +89,7 @@ const BASELINE: EngineCapabilities = EngineCapabilities {
 ///
 /// Engines are storage-backend- and version-agnostic: they are built per
 /// call over whatever [`Graph`] snapshot the `Session` facade hands them
-/// (`csr`, `map`, or the dynamic `delta` backend), and the session — not the
+/// (`csr` or the dynamic `delta` backend), and the session — not the
 /// engine — stamps the mutation epoch into each `Evaluation`.
 ///
 /// Each entry carries its **nominal** capability set (what a
@@ -135,8 +135,9 @@ pub fn default_registry() -> EngineRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wireframe_api::WireframeError;
     use wireframe_graph::GraphBuilder;
-    use wireframe_query::parse_query;
+    use wireframe_query::{parse_query, QueryError};
 
     #[test]
     fn all_five_engines_are_registered_and_buildable() {
@@ -158,6 +159,24 @@ mod tests {
             assert_eq!(engine.name(), name);
             let ev = engine.run(&q).unwrap();
             assert_eq!(ev.embedding_count(), 1, "{name}");
+        }
+    }
+
+    #[test]
+    fn every_engine_rejects_a_projected_variable_no_pattern_binds() {
+        let mut b = GraphBuilder::new();
+        b.add("a", "p", "b");
+        let mut session = crate::Session::new(b.build());
+        for name in default_registry().names() {
+            session.set_engine(name).unwrap();
+            let err = session.query("SELECT ?z WHERE { ?x :p ?y . }").unwrap_err();
+            assert!(
+                matches!(
+                    &err,
+                    WireframeError::Query(QueryError::UnknownVariable(v)) if v == "?z"
+                ),
+                "{name}: {err}"
+            );
         }
     }
 

@@ -1,20 +1,22 @@
-//! Storage-backend equivalence: the CSR, edge-map, and delta stores must be
-//! observationally identical — same neighbor sets, same membership answers,
-//! same statistics, and byte-identical evaluation results across the full
-//! engine registry × workload matrix.
+//! Storage-backend equivalence: the CSR and delta stores must match an
+//! independent reference and each other — same neighbor sets, same
+//! membership answers, same statistics, and byte-identical evaluation
+//! results across the full engine registry × workload matrix.
 //!
 //! Three layers of coverage:
 //!
 //! 1. A property test over random graphs (seeded shim PRNG, like
-//!    `property_equivalence.rs`): every `GraphStore` access path agrees
-//!    between the backends, up to the documented ordering difference
-//!    (the edge-map's neighbor lists and scans are unsorted).
+//!    `property_equivalence.rs`): every `GraphStore` access path of both
+//!    backends agrees with a naive scan over the generated triple set, and
+//!    every neighbor slice is strictly ascending (the store contract the
+//!    evaluators' binary searches and galloping intersections rely on).
 //! 2. A **churn** property test: after seeded random insert/remove batches
 //!    (with and without forced compaction cycles), a mutated delta graph
-//!    must equal a fresh CSR build of the final triple set on every access
-//!    path and statistic.
+//!    must match the naive scan over the batches' set-semantics result and
+//!    a fresh CSR build of the final triple set on every access path and
+//!    statistic, with its neighbor slices still strictly ascending.
 //! 3. The full registry × workload matrix on the benchmark dataset family:
-//!    every engine returns the same answer on all three stores — including
+//!    every engine returns the same answer on both stores — including
 //!    after seeded churn with at least one compaction — with identical
 //!    embedding counts and (for the wireframe engine) identical answer-graph
 //!    sizes.
@@ -26,7 +28,9 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use wireframe::datagen::{full_workload, generate, YagoConfig};
-use wireframe::graph::{Graph, GraphBuilder, Mutation, NodeId, PredId, StoreKind};
+use wireframe::graph::{
+    Graph, GraphBuilder, Mutation, MutationOp, NodeId, PredId, StoreKind, UnigramStats,
+};
 use wireframe::Session;
 
 const LABELS: [&str; 5] = ["A", "B", "C", "D", "E"];
@@ -57,9 +61,97 @@ fn build(edges: &[(u32, usize, u32)], kind: StoreKind) -> Graph {
     b.build_with_store(kind)
 }
 
-fn sorted(mut v: Vec<NodeId>) -> Vec<NodeId> {
-    v.sort_unstable();
-    v
+/// A triple set by label: the independent reference the stores are checked
+/// against. It knows nothing of dense identifiers, indexes or overlays.
+type Oracle = BTreeSet<(String, String, String)>;
+
+fn oracle_of(edges: &[(u32, usize, u32)]) -> Oracle {
+    edges
+        .iter()
+        .map(|&(s, p, o)| (format!("n{s}"), LABELS[p].to_owned(), format!("n{o}")))
+        .collect()
+}
+
+/// Applies a mutation batch to the reference in order, with set semantics.
+fn apply_to_oracle(oracle: &mut Oracle, mutation: &Mutation) {
+    for (op, s, p, o) in mutation.ops() {
+        let t = (s.clone(), p.clone(), o.clone());
+        match op {
+            MutationOp::Insert => oracle.insert(t),
+            MutationOp::Remove => oracle.remove(&t),
+        };
+    }
+}
+
+fn strictly_ascending(slice: &[NodeId]) -> bool {
+    slice.windows(2).all(|w| w[0] < w[1])
+}
+
+/// Checks every access path and statistic of `graph` against a naive scan
+/// over `oracle`, and that every neighbor slice is strictly ascending.
+fn assert_matches_oracle(graph: &Graph, oracle: &Oracle, context: &str) {
+    let d = graph.dictionary();
+    let triples: Vec<(NodeId, PredId, NodeId)> = oracle
+        .iter()
+        .map(|(s, p, o)| {
+            (
+                d.node_id(s).unwrap(),
+                d.predicate_id(p).unwrap(),
+                d.node_id(o).unwrap(),
+            )
+        })
+        .collect();
+    assert_eq!(graph.triple_count(), triples.len(), "{context}");
+    let nodes = graph.node_count() as u32;
+    for p in 0..graph.predicate_count() {
+        let p = PredId(p as u32);
+        let mut pairs: Vec<(NodeId, NodeId)> = triples
+            .iter()
+            .filter(|t| t.1 == p)
+            .map(|&(s, _, o)| (s, o))
+            .collect();
+        pairs.sort_unstable();
+        assert_eq!(graph.predicate_cardinality(p), pairs.len(), "{context}");
+        assert_eq!(graph.pairs(p).as_ref(), pairs.as_slice(), "{context}");
+
+        // Per-node adjacency, degrees and membership, including
+        // out-of-range probes.
+        let (mut max_out, mut max_in) = (0, 0);
+        for n in (0..nodes + 2).map(NodeId) {
+            let objects: Vec<NodeId> = pairs.iter().filter(|e| e.0 == n).map(|e| e.1).collect();
+            let mut subjects: Vec<NodeId> =
+                pairs.iter().filter(|e| e.1 == n).map(|e| e.0).collect();
+            subjects.sort_unstable();
+            assert!(strictly_ascending(graph.objects_of(p, n)), "{context}");
+            assert!(strictly_ascending(graph.subjects_of(p, n)), "{context}");
+            assert_eq!(graph.objects_of(p, n), objects.as_slice(), "{context}");
+            assert_eq!(graph.subjects_of(p, n), subjects.as_slice(), "{context}");
+            assert_eq!(graph.out_degree(p, n), objects.len(), "{context}");
+            assert_eq!(graph.in_degree(p, n), subjects.len(), "{context}");
+            for o in (0..nodes + 2).map(NodeId) {
+                assert_eq!(
+                    graph.has_triple(n, p, o),
+                    pairs.binary_search(&(n, o)).is_ok(),
+                    "{context}"
+                );
+            }
+            max_out = max_out.max(objects.len());
+            max_in = max_in.max(subjects.len());
+        }
+
+        // The statistics catalog (which the planners read).
+        let distinct = |end: fn(&(NodeId, NodeId)) -> NodeId| {
+            pairs.iter().map(end).collect::<BTreeSet<_>>().len()
+        };
+        let expected = UnigramStats {
+            cardinality: pairs.len(),
+            distinct_subjects: distinct(|e| e.0),
+            distinct_objects: distinct(|e| e.1),
+            max_out_degree: max_out,
+            max_in_degree: max_in,
+        };
+        assert_eq!(graph.catalog().unigram(p), expected, "{context}");
+    }
 }
 
 #[test]
@@ -67,62 +159,13 @@ fn stores_expose_identical_access_paths_on_random_graphs() {
     for seed in 0..CASES {
         let mut rng = SmallRng::seed_from_u64(0x57AB + seed);
         let edges = gen_edges(&mut rng);
+        let oracle = oracle_of(&edges);
         let csr = build(&edges, StoreKind::Csr);
-        let map = build(&edges, StoreKind::Map);
-
-        assert_eq!(csr.triple_count(), map.triple_count(), "seed {seed}");
-        assert_eq!(csr.node_count(), map.node_count(), "seed {seed}");
-        assert!(csr.neighbors_sorted() && !map.neighbors_sorted());
-
-        for p in 0..csr.predicate_count() {
-            let p = PredId(p as u32);
-            assert_eq!(
-                csr.predicate_cardinality(p),
-                map.predicate_cardinality(p),
-                "seed {seed}"
-            );
-            // Scans agree as sets (the edge-map assembles its scan from hash
-            // maps, so only the contents are specified).
-            let mut map_pairs = map.pairs(p).into_owned();
-            map_pairs.sort_unstable();
-            assert_eq!(csr.pairs(p).as_ref(), map_pairs.as_slice(), "seed {seed}");
-
-            // Per-node adjacency, degrees, and membership agree everywhere
-            // (including out-of-range probes).
-            for n in 0..csr.node_count() as u32 + 2 {
-                let n = NodeId(n);
-                assert_eq!(
-                    csr.objects_of(p, n).to_vec(),
-                    sorted(map.objects_of(p, n).to_vec()),
-                    "seed {seed}"
-                );
-                assert_eq!(
-                    csr.subjects_of(p, n).to_vec(),
-                    sorted(map.subjects_of(p, n).to_vec()),
-                    "seed {seed}"
-                );
-                assert_eq!(csr.out_degree(p, n), map.out_degree(p, n));
-                assert_eq!(csr.in_degree(p, n), map.in_degree(p, n));
-                for o in csr.objects_of(p, n).to_vec() {
-                    assert!(map.has_triple(n, p, o), "seed {seed}");
-                }
-            }
-
-            // The statistics catalog is layout-independent.
-            assert_eq!(csr.catalog().unigram(p), map.catalog().unigram(p));
-            assert_eq!(
-                csr.store().distinct_subjects(p),
-                map.store().distinct_subjects(p)
-            );
-            assert_eq!(csr.store().max_out_degree(p), map.store().max_out_degree(p));
-            assert_eq!(csr.store().max_in_degree(p), map.store().max_in_degree(p));
-        }
-
+        let delta = build(&edges, StoreKind::Delta);
         // Re-indexing round-trips.
-        let back = build(&edges, StoreKind::Map).with_store(StoreKind::Csr);
-        for p in 0..csr.predicate_count() {
-            let p = PredId(p as u32);
-            assert_eq!(csr.pairs(p), back.pairs(p), "seed {seed}");
+        let back = delta.clone().with_store(StoreKind::Csr);
+        for (name, graph) in [("csr", csr), ("delta", delta), ("re-indexed", back)] {
+            assert_matches_oracle(&graph, &oracle, &format!("seed {seed} {name}"));
         }
     }
 }
@@ -170,14 +213,9 @@ fn assert_matrix_agrees(graphs: &[(&str, Arc<Graph>)], context: &str) {
 #[test]
 fn every_engine_answers_identically_on_every_store() {
     let csr = Arc::new(generate(&YagoConfig::tiny()).with_store(StoreKind::Csr));
-    let map = Arc::new(generate(&YagoConfig::tiny()).with_store(StoreKind::Map));
     let delta = Arc::new(generate(&YagoConfig::tiny()).with_store(StoreKind::Delta));
-    assert_eq!(map.store_kind(), StoreKind::Map);
     assert_eq!(delta.store_kind(), StoreKind::Delta);
-    assert_matrix_agrees(
-        &[("csr", csr), ("map", map), ("delta", delta)],
-        "static matrix",
-    );
+    assert_matrix_agrees(&[("csr", csr), ("delta", delta)], "static matrix");
 }
 
 /// A seeded mutation batch over the graph's current triples: removals sample
@@ -235,10 +273,12 @@ fn delta_store_equals_a_fresh_csr_after_seeded_churn() {
         // odd seeds never compact, so the overlay path itself is exercised.
         let threshold = if seed % 2 == 0 { 0.01 } else { 1e9 };
         let mut delta = build(&edges, StoreKind::Delta).with_compaction_threshold(threshold);
+        let mut oracle = oracle_of(&edges);
         let mut compactions = 0usize;
         let mut fresh_tag = 0usize;
         for _ in 0..4 {
             let mutation = random_batch(&delta, &mut rng, 30, &mut fresh_tag);
+            apply_to_oracle(&mut oracle, &mutation);
             let (next, outcome) = delta.apply(&mutation);
             compactions += outcome.compacted as usize;
             delta = next;
@@ -249,12 +289,15 @@ fn delta_store_equals_a_fresh_csr_after_seeded_churn() {
             assert_eq!(compactions, 0, "seed {seed}: huge threshold never does");
         }
 
-        // The mutated delta graph must equal a fresh CSR build of the final
-        // triple set on every access path and statistic.
+        // The mutated delta graph must match the naive scan over the
+        // batches' result, with every neighbor slice strictly ascending...
+        assert_matches_oracle(&delta, &oracle, &format!("seed {seed} after churn"));
+
+        // ...and equal a fresh CSR build of the final triple set on every
+        // access path and statistic.
         let fresh = rebuild_as(&delta, StoreKind::Csr);
         assert_eq!(delta.triple_count(), fresh.triple_count(), "seed {seed}");
         assert_eq!(delta.node_count(), fresh.node_count(), "seed {seed}");
-        assert!(delta.neighbors_sorted(), "seed {seed}");
         for p in 0..fresh.predicate_count() {
             let p = PredId(p as u32);
             assert_eq!(
@@ -280,23 +323,8 @@ fn delta_store_equals_a_fresh_csr_after_seeded_churn() {
                     fresh.subjects_of(p, n),
                     "seed {seed}"
                 );
-                for &o in fresh.objects_of(p, n) {
-                    assert!(delta.has_triple(n, p, o), "seed {seed}");
-                }
             }
         }
-
-        // And the set semantics match an independent reference model.
-        let mut reference: BTreeSet<(String, String, String)> = BTreeSet::new();
-        for t in fresh.triples() {
-            let d = fresh.dictionary();
-            reference.insert((
-                d.node_label(t.subject).unwrap().to_owned(),
-                d.predicate_label(t.predicate).unwrap().to_owned(),
-                d.node_label(t.object).unwrap().to_owned(),
-            ));
-        }
-        assert_eq!(reference.len(), delta.triple_count(), "seed {seed}");
     }
 }
 
@@ -317,9 +345,8 @@ fn registry_workload_matrix_agrees_on_every_store_after_churn() {
     assert!(compactions >= 1, "the churn includes a compaction cycle");
 
     let csr = Arc::new(rebuild_as(&delta, StoreKind::Csr));
-    let map = Arc::new(rebuild_as(&delta, StoreKind::Map));
     assert_matrix_agrees(
-        &[("csr", csr), ("map", map), ("delta", Arc::new(delta))],
+        &[("csr", csr), ("delta", Arc::new(delta))],
         "post-churn matrix",
     );
 }
@@ -328,7 +355,7 @@ fn registry_workload_matrix_agrees_on_every_store_after_churn() {
 /// mutation batch, a maintained `MaterializedQuery`'s answer graph — pattern
 /// edges, variable node sets, *and* the embeddings defactorized from it —
 /// must be identical to a from-scratch evaluation on the mutated graph.
-/// Exercised on all three storage backends; on the delta store both with a
+/// Exercised on both storage backends; on the delta store both with a
 /// forced compaction cycle (even seeds) and on the pure-overlay path (odd
 /// seeds).
 #[test]
@@ -388,7 +415,7 @@ fn maintained_views_equal_fresh_evaluation_on_every_store() {
     for seed in 0..12u64 {
         let mut rng = SmallRng::seed_from_u64(0x11A1 + seed);
         let edges = gen_edges(&mut rng);
-        for kind in [StoreKind::Csr, StoreKind::Map, StoreKind::Delta] {
+        for kind in [StoreKind::Csr, StoreKind::Delta] {
             let mut graph = build(&edges, kind);
             if kind == StoreKind::Delta {
                 // Even seeds force a compaction cycle mid-churn; odd seeds
@@ -449,7 +476,7 @@ fn wco_matches_triangulation_on_cyclic_shapes_and_survives_churn() {
     for seed in 0..8u64 {
         let mut rng = SmallRng::seed_from_u64(0x77C0 + seed);
         let edges = gen_edges(&mut rng);
-        for kind in [StoreKind::Csr, StoreKind::Map, StoreKind::Delta] {
+        for kind in [StoreKind::Csr, StoreKind::Delta] {
             let mut graph = build(&edges, kind);
             let queries = vec![
                 cycle(graph.dictionary(), &["A", "B", "C"]).unwrap(),
@@ -509,6 +536,7 @@ fn wco_matches_triangulation_on_cyclic_shapes_and_survives_churn() {
 
 #[test]
 fn random_queries_agree_across_stores_through_the_wireframe_engine() {
+    use wireframe::baseline::RelationalEngine;
     use wireframe::core::WireframeEngine;
     use wireframe::query::CqBuilder;
 
@@ -516,7 +544,7 @@ fn random_queries_agree_across_stores_through_the_wireframe_engine() {
         let mut rng = SmallRng::seed_from_u64(0xC5A + seed);
         let edges = gen_edges(&mut rng);
         let csr = build(&edges, StoreKind::Csr);
-        let map = build(&edges, StoreKind::Map);
+        let delta = build(&edges, StoreKind::Delta);
 
         // A random connected chain query over the label alphabet.
         let len = rng.gen_range(1..4usize);
@@ -528,21 +556,18 @@ fn random_queries_agree_across_stores_through_the_wireframe_engine() {
         }
         let q = qb.build().unwrap();
 
+        // The independent reference: pairwise hash joins, which never rely
+        // on sorted adjacency.
+        let reference = RelationalEngine::new(&csr).evaluate(&q).unwrap();
         let on_csr = WireframeEngine::new(&csr).execute(&q).unwrap();
-        let on_map = WireframeEngine::new(&map).execute(&q).unwrap();
-        assert_eq!(
-            on_csr.embedding_count(),
-            on_map.embedding_count(),
-            "seed {seed}"
-        );
+        let on_delta = WireframeEngine::new(&delta).execute(&q).unwrap();
+        assert_eq!(on_csr.embedding_count(), reference.len(), "seed {seed}");
+        assert!(on_csr.embeddings().same_answer(&reference), "seed {seed}");
         assert_eq!(
             on_csr.answer_graph_size(),
-            on_map.answer_graph_size(),
+            on_delta.answer_graph_size(),
             "seed {seed}"
         );
-        assert!(
-            on_csr.embeddings().same_answer(on_map.embeddings()),
-            "seed {seed}"
-        );
+        assert!(on_delta.embeddings().same_answer(&reference), "seed {seed}");
     }
 }

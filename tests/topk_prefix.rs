@@ -3,7 +3,7 @@
 //! full defactorization under the canonical row order — after every seeded
 //! mutation batch, on every storage backend, for both engine families.
 //!
-//! Matrix: {csr, map, delta} × {wireframe `MaterializedQuery`, wco
+//! Matrix: {csr, delta} × {wireframe `MaterializedQuery`, wco
 //! `WcoView`} × 4 seeded mutation batches per seed. Delta graphs force a
 //! compaction cycle on even seeds and stay on the pure overlay on odd
 //! seeds, so prefix maintenance sees both store shapes. Wireframe views
@@ -150,7 +150,7 @@ fn maintained_prefixes_equal_fresh_first_k_on_every_store_and_engine() {
     for seed in 0..SEEDS {
         let mut rng = SmallRng::seed_from_u64(0x70_9C + seed);
         let edges = gen_edges(&mut rng);
-        for kind in [StoreKind::Csr, StoreKind::Map, StoreKind::Delta] {
+        for kind in [StoreKind::Csr, StoreKind::Delta] {
             let mut graph = build(&edges, kind);
             if kind == StoreKind::Delta {
                 // Even seeds force compaction cycles mid-churn; odd seeds
@@ -251,7 +251,7 @@ fn maintained_prefixes_equal_fresh_first_k_on_every_store_and_engine() {
 /// prefix must still match fresh evaluation afterwards.
 #[test]
 fn an_insert_flood_forces_the_prefix_fallback_path() {
-    for kind in [StoreKind::Csr, StoreKind::Map, StoreKind::Delta] {
+    for kind in [StoreKind::Csr, StoreKind::Delta] {
         let mut graph = build(&[(0, 0, 1), (1, 1, 2)], kind);
         let query = chain(&graph, &["A", "B"]);
         let mut view = WireframeEngine::new(&graph)
